@@ -1,6 +1,6 @@
 """Incremental (streaming) estimators with batch-equivalent answers.
 
-ROADMAP item 3: decision tables are keyed on *offline* model
+Decision tables are keyed on *offline* model
 statistics, but a live admission service only ever sees a stream of
 per-request observations.  These estimators maintain windowed
 first/second-order statistics, autocorrelations, and Hurst estimates

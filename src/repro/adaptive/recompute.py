@@ -607,12 +607,13 @@ def adaptive_replay_link(
             last_event_time = now
 
             occupancy_before = link.occupancy
-            decision = admit(link_id, models[labels[i]], f"c{i}")
+            connection_id = f"c{i}"
+            decision = admit(link_id, models[labels[i]], connection_id)
             if decision.admitted:
                 admitted += 1
                 if decision.occupancy > peak_occupancy:
                     peak_occupancy = decision.occupancy
-                heappush(departures, (now + float(holdings[i]), f"c{i}"))
+                heappush(departures, (now + float(holdings[i]), connection_id))
             else:
                 blocked += 1
             if count_policy and decision.admitted != (
@@ -656,6 +657,7 @@ def adaptive_replay_link(
                 post_sum += clr
                 post_count += 1
 
+    engine.flush_telemetry()
     if _spans._ENABLED:
         _metrics.add("adaptive.requests_replayed", n)
         _metrics.add("adaptive.drift_detections", 0)

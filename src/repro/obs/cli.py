@@ -17,7 +17,7 @@ Four subcommands:
 * ``sweep`` — drive the admission-control replay over a grid of
   utilizations rho (offered Erlangs = rho x admissible N) and print
   the latency-vs-rho table: p50/p99/p999 admit latency per link and
-  aggregate, the curve ROADMAP open item 2 asks for as rho -> 1;
+  aggregate, the tail-latency curve as rho -> 1;
 * ``compare`` — diff two ``timings.jsonl`` runs (or check jobs>1
   rows against serial within one file) and exit nonzero on
   regressions beyond ``--threshold`` — the CI perf gate;

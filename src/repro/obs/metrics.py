@@ -16,18 +16,29 @@ Histograms keep summary statistics plus geometric (power-of-two)
 buckets — the right resolution for heavy-tailed quantities like FBNDP
 busy periods, where linear bins either clip the tail or drown the
 body.
+
+Hot paths that record per event (the admission engine, the decision
+table cache) keep a :class:`BatchRecorder` instead of calling the
+helpers: plain counts and bounded observation buffers that fold into
+the registry's instruments in batches.  Counter sums and sketch
+states are order-independent, so a folded batch leaves exactly the
+state the per-event calls would have, and every
+:meth:`MetricsRegistry.snapshot` folds what is still pending first.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.obs import spans as _spans
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 __all__ = [
+    "BatchRecorder",
     "Counter",
     "Gauge",
     "Histogram",
@@ -205,6 +216,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
+        #: Recorders holding data not yet folded in (strong references,
+        #: so a recorder outlives its owner until its data is folded).
+        self._pending: Set["BatchRecorder"] = set()
 
     def _get(self, name: str, cls: type):
         with self._lock:
@@ -265,8 +279,28 @@ class MetricsRegistry:
                 )
             return metric
 
+    def _set_pending(self, recorder: "BatchRecorder", pending: bool) -> None:
+        """Register ``recorder`` as holding unfolded data, or drop it."""
+        with self._lock:
+            recorder.pending = pending
+            if pending:
+                self._pending.add(recorder)
+            else:
+                self._pending.discard(recorder)
+
+    def flush_pending(self) -> None:
+        """Fold every recorder's pending data into the instruments."""
+        with self._lock:
+            pending, self._pending = self._pending, set()
+        for recorder in pending:
+            recorder.flush()
+
     def snapshot(self) -> List[dict]:
-        """All instruments as plain dicts, sorted by (type, name)."""
+        """All instruments as plain dicts, sorted by (type, name).
+
+        Pending :class:`BatchRecorder` data is folded in first.
+        """
+        self.flush_pending()
         with self._lock:
             metrics = list(self._metrics.values())
         return sorted(
@@ -304,12 +338,108 @@ class MetricsRegistry:
                 ).merge_dict(data)
 
     def reset(self) -> None:
+        """Drop every instrument and whatever recorders hold pending."""
         with self._lock:
+            pending, self._pending = self._pending, set()
             self._metrics.clear()
+        for recorder in pending:
+            recorder.discard()
 
 
 #: The process-wide registry used by the module-level helpers.
 REGISTRY = MetricsRegistry()
+
+#: Observations a recorder buffers before folding them in.
+BATCH_LIMIT = 1024
+
+
+class BatchRecorder:
+    """Per-event telemetry of one hot-path owner, folded in batches.
+
+    ``counters`` names one counter per slot of :attr:`counts`; the
+    owner bumps ``counts[i]`` (cumulative) and each fold adds the
+    growth since the last one.  ``streams`` names, per buffer of
+    :attr:`buffers`, the sketches its observations fold into — one
+    latency value can feed an aggregate and a per-link sketch.
+
+    The owner records only while telemetry is enabled, then calls
+    :meth:`note` once per event.  That registers the recorder with
+    :data:`REGISTRY` while it holds unfolded data and folds a buffer
+    once it reaches :data:`BATCH_LIMIT` entries, so memory stays
+    bounded; a fold or discard unregisters it again.  The registry
+    folds pending recorders before every snapshot — also recorders
+    whose owner has since been garbage-collected — and
+    :meth:`MetricsRegistry.reset` discards what they hold.
+
+    One thread records; a snapshot may fold from another.
+    """
+
+    __slots__ = (
+        "counter_names",
+        "stream_names",
+        "counts",
+        "buffers",
+        "pending",
+        "_folded",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        counters: Sequence[str] = (),
+        streams: Sequence[Sequence[str]] = (),
+    ):
+        self.counter_names = tuple(counters)
+        self.stream_names = tuple(tuple(names) for names in streams)
+        self.counts: List[int] = [0] * len(self.counter_names)
+        self.buffers = tuple([] for _ in self.stream_names)
+        #: True while this recorder is registered with unfolded data.
+        self.pending = False
+        self._folded = [0] * len(self.counter_names)
+        self._lock = threading.Lock()
+
+    def note(self, buffer: Optional[list] = None) -> None:
+        """Mark recorded data pending; fold ``buffer`` once it is full."""
+        if not self.pending:
+            REGISTRY._set_pending(self, True)
+        if buffer is not None and len(buffer) >= BATCH_LIMIT:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every count and observation recorded so far."""
+        registry = REGISTRY
+        with self._lock:
+            # Unregister before reading: an event recorded during the
+            # fold then registers the recorder again.
+            registry._set_pending(self, False)
+            counts = self.counts
+            folded = self._folded
+            for slot, name in enumerate(self.counter_names):
+                total = counts[slot]
+                if total != folded[slot]:
+                    registry.counter(name).add(total - folded[slot])
+                    folded[slot] = total
+            for names, buffer in zip(self.stream_names, self.buffers):
+                n = len(buffer)
+                if n:
+                    sketches = [registry.sketch(name) for name in names]
+                    # Bucket the batch once, then merge it into each
+                    # sketch of the stream.
+                    batch = QuantileSketch(
+                        names[0], sketches[0].relative_accuracy
+                    )
+                    batch.observe_many(np.array(buffer[:n], dtype=float))
+                    del buffer[:n]
+                    for sketch in sketches:
+                        sketch.merge(batch)
+
+    def discard(self) -> None:
+        """Drop everything recorded but not yet folded."""
+        with self._lock:
+            REGISTRY._set_pending(self, False)
+            self._folded[:] = self.counts
+            for buffer in self.buffers:
+                del buffer[:]
 
 
 def counter(name: str) -> Counter:

@@ -1,7 +1,6 @@
 """Declarative SLO targets and window-based burn-rate evaluation.
 
-An :class:`SLOTarget` states an objective over exported metrics — the
-things ROADMAP open item 2 wants pinned down, e.g.
+An :class:`SLOTarget` states an objective over exported metrics, e.g.
 
 * ``admit_latency p99 < 50_000 ns`` — a **quantile** target against a
   :class:`~repro.obs.sketch.QuantileSketch`;

@@ -27,7 +27,7 @@ Comparison semantics (the ``obs compare`` gate):
   against the latest serial (``jobs = 1``) row of the same
   experiment; parallel slower than ``threshold x`` serial is a
   regression.  This is the check that flags the recorded
-  ``replicated_clr_scaling`` spawn tax (ROADMAP open item 1).
+  ``replicated_clr_scaling`` spawn tax.
 """
 
 from __future__ import annotations

@@ -91,6 +91,9 @@ __all__ = [
 #: The quantiles every sweep point reports (matches ``obs sweep``).
 DRIVE_QUANTILES = (0.5, 0.99, 0.999)
 
+#: Merged requests converted to Python scalars at a time.
+_MERGE_CHUNK = 8192
+
 
 def derive_arrival_rate(
     rho: float, admissible: int, mean_holding_time: float
@@ -367,19 +370,24 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
     arrivals = np.concatenate(
         [w.arrival_times for w in workload_arrays]
     )
+    order = np.argsort(arrivals, kind="stable")
+    arrivals = arrivals[order]
     link_of = np.concatenate(
         [
             np.full(w.n_requests, i, dtype=np.int64)
             for i, w in enumerate(workload_arrays)
         ]
-    )
+    )[order]
     req_of = np.concatenate(
         [np.arange(w.n_requests, dtype=np.int64) for w in workload_arrays]
-    )
-    order = np.argsort(arrivals, kind="stable")
-
-    holdings = [w.holding_times for w in workload_arrays]
-    labels = [w.class_indices for w in workload_arrays]
+    )[order]
+    departs = np.concatenate(
+        [w.arrival_times + w.holding_times for w in workload_arrays]
+    )[order]
+    class_of = np.concatenate(
+        [w.class_indices for w in workload_arrays]
+    )[order]
+    n_requests = int(arrivals.shape[0])
 
     admitted = blocked = shed = fallbacks = 0
     boundary_violations = 0
@@ -395,53 +403,61 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
         "service.frontend.drive_shard",
         shard=shard_index,
         links=n_links,
-        requests=int(arrivals.shape[0]),
+        requests=n_requests,
         policy=task.policy,
     ):
-        for flat in order:
-            link_index = int(link_of[flat])
-            j = int(req_of[flat])
-            now = float(arrivals[flat])
-            engine = engines[link_index]
-            link_id = task.link_ids[link_index]
-            link = links[link_index]
-            heap = departure_heaps[link_index]
-            while heap and heap[0][0] <= now:
-                _, connection_id = heappop(heap)
-                engine.release(link_id, connection_id)
-            occupancy_before = link.occupancy
-            decision = engine.admit(
-                link_id,
-                models[int(labels[link_index][j])],
-                f"c{j}",
-                now=now if overload_active else None,
-            )
-            if decision.reason == REASON_SHED:
-                shed += 1
-            elif decision.admitted:
-                admitted += 1
-                if decision.occupancy > peak_occupancy:
-                    peak_occupancy = decision.occupancy
-                heappush(
-                    heap,
-                    (now + float(holdings[link_index][j]), f"c{j}"),
-                )
-            else:
-                blocked += 1
-            if decision.fallback:
-                fallbacks += 1
-            if (
-                count_policy
-                and decision.reason != REASON_SHED
-                and not decision.fallback
-                and decision.admitted
-                != (occupancy_before < decision.admissible)
+        # Python scalars come from the merged arrays a chunk at a
+        # time: cheaper to iterate than numpy scalars, without holding
+        # the whole stream as Python objects.
+        for chunk_start in range(0, n_requests, _MERGE_CHUNK):
+            chunk = slice(chunk_start, chunk_start + _MERGE_CHUNK)
+            for link_index, j, now, departs_at, label in zip(
+                link_of[chunk].tolist(),
+                req_of[chunk].tolist(),
+                arrivals[chunk].tolist(),
+                departs[chunk].tolist(),
+                class_of[chunk].tolist(),
             ):
-                boundary_violations += 1
+                engine = engines[link_index]
+                link_id = task.link_ids[link_index]
+                link = links[link_index]
+                heap = departure_heaps[link_index]
+                while heap and heap[0][0] <= now:
+                    _, connection_id = heappop(heap)
+                    engine.release(link_id, connection_id)
+                occupancy_before = len(link.connections)
+                connection_id = f"c{j}"
+                decision = engine.admit(
+                    link_id,
+                    models[label],
+                    connection_id,
+                    now=now if overload_active else None,
+                )
+                if decision.reason == REASON_SHED:
+                    shed += 1
+                elif decision.admitted:
+                    admitted += 1
+                    if decision.occupancy > peak_occupancy:
+                        peak_occupancy = decision.occupancy
+                    heappush(heap, (departs_at, connection_id))
+                else:
+                    blocked += 1
+                if decision.fallback:
+                    fallbacks += 1
+                if (
+                    count_policy
+                    and decision.reason != REASON_SHED
+                    and not decision.fallback
+                    and decision.admitted
+                    != (occupancy_before < decision.admissible)
+                ):
+                    boundary_violations += 1
+        for engine in engines:
+            engine.flush_telemetry()
     elapsed = time.perf_counter() - started
 
     if _spans._ENABLED:
-        _metrics.add("service.frontend.requests", int(arrivals.shape[0]))
+        _metrics.add("service.frontend.requests", n_requests)
         _metrics.add(
             "service.boundary_violations", boundary_violations
         )
@@ -449,7 +465,7 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
     return ShardDriveStats(
         shard_index=shard_index,
         n_links=n_links,
-        n_requests=int(arrivals.shape[0]),
+        n_requests=n_requests,
         admitted=admitted,
         blocked=blocked,
         shed=shed,

@@ -22,19 +22,22 @@ Two admission disciplines:
   serves heterogeneous mixes.
 
 Telemetry (when :mod:`repro.obs` is enabled): ``service.admitted`` /
-``service.blocked`` / ``service.released`` counters, a
+``service.blocked`` / ``service.released`` / ``service.shed`` /
+``service.fallback_decisions`` counters, a
 ``service.admit_latency_ns`` quantile sketch (aggregate and per
 link), a per-link ``service.occupancy.<link>`` sketch, plus the table
-cache's
-``service.table_hits`` / ``service.table_misses``.  Disabled, each
+cache's ``service.table_hits`` / ``service.table_misses``.  Each link
+records into its own :class:`~repro.obs.metrics.BatchRecorder`, which
+folds into the registry in batches (and before every snapshot), so an
+admit pays list appends rather than registry calls.  Disabled, each
 admit pays a single boolean check.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from time import perf_counter_ns
+from typing import Dict, NamedTuple, Optional
 
 from repro.atm.cac import PEAK_SIGMA
 from repro.atm.qos import QoSRequirement
@@ -61,9 +64,8 @@ REASON_CAPACITY = "capacity"
 REASON_SHED = "shed"
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """The outcome of one admission query.
+class AdmissionDecision(NamedTuple):
+    """The outcome of one admission query (an immutable record).
 
     ``occupancy`` is the connection count on the link *after* the
     decision took effect; ``admissible`` is the table boundary the
@@ -83,13 +85,21 @@ class AdmissionDecision:
     fallback: bool = False
 
 
-@dataclass(frozen=True)
-class _Connection:
+class _Connection(NamedTuple):
     """Book-keeping for one admitted connection."""
 
     fingerprint: str
     mean: float
     effective_bandwidth: Optional[float]
+
+
+# Records are built positionally on the hot path, skipping the
+# generated keyword ``__new__``.
+_new_record = tuple.__new__
+
+#: :attr:`LinkState.telemetry` count slots and buffers.
+_ADMITTED, _BLOCKED, _RELEASED, _SHED, _FALLBACK = range(5)
+_LATENCY, _OCCUPANCY = range(2)
 
 
 @dataclass
@@ -105,6 +115,28 @@ class LinkState:
     admitted_bandwidth: float = 0.0
     #: Sum of admitted mean rates (cells/frame) — the carried load.
     admitted_mean_load: float = 0.0
+    #: The link's telemetry, folded into the metrics registry in batches.
+    telemetry: _metrics.BatchRecorder = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.telemetry = _metrics.BatchRecorder(
+            (
+                "service.admitted",
+                "service.blocked",
+                "service.released",
+                "service.shed",
+                "service.fallback_decisions",
+            ),
+            (
+                (
+                    "service.admit_latency_ns",
+                    f"service.admit_latency_ns.{self.link_id}",
+                ),
+                (f"service.occupancy.{self.link_id}",),
+            ),
+        )
 
     @property
     def occupancy(self) -> int:
@@ -157,7 +189,8 @@ class AdmissionEngine:
         # so it is built once per link, not once per request.  Models
         # are kept strongly referenced so the ``id()`` keys stay valid.
         self._decision_keys: Dict[tuple, str] = {}
-        self._fingerprints: Dict[int, str] = {}
+        #: id(model) -> (fingerprint, mean rate).
+        self._fingerprints: Dict[int, tuple] = {}
         self._key_refs: Dict[int, TrafficModel] = {}
 
     # -- topology ------------------------------------------------------------
@@ -207,13 +240,14 @@ class AdmissionEngine:
             self._key_refs[id(model)] = model
         return key
 
-    def _fingerprint_for(self, model: TrafficModel) -> str:
-        fingerprint = self._fingerprints.get(id(model))
-        if fingerprint is None:
-            fingerprint = model_fingerprint(model)
-            self._fingerprints[id(model)] = fingerprint
+    def _info_for(self, model: TrafficModel) -> tuple:
+        """``(fingerprint, mean rate)`` of ``model``, memoized."""
+        info = self._fingerprints.get(id(model))
+        if info is None:
+            info = (model_fingerprint(model), float(model.mean))
+            self._fingerprints[id(model)] = info
             self._key_refs[id(model)] = model
-        return fingerprint
+        return info
 
     def invalidate_decision_caches(self) -> None:
         """Drop every memoized decision key and model fingerprint.
@@ -256,72 +290,157 @@ class AdmissionEngine:
         open, without re-raising the fault that opened it.
         """
         enabled = _spans._ENABLED
-        started = time.perf_counter_ns() if enabled else 0
+        started = perf_counter_ns() if enabled else 0
         link = self.link(link_id)
-        if connection_id in link.connections:
+        connections = link.connections
+        if connection_id in connections:
             raise ParameterError(
                 f"connection {connection_id!r} already admitted on "
                 f"link {link_id!r}"
             )
         overload = self.overload
-        if (
-            overload is not None
-            and now is not None
-            and not overload.queue.offer(float(now))
-        ):
-            # Shed before any table work: overload protection must not
-            # cost a lookup per rejected request.
-            if enabled:
-                _metrics.add("service.shed")
-                _metrics.observe_sketch(
-                    f"service.occupancy.{link_id}", link.occupancy
+        if overload is None and not force_fallback:
+            # Legacy fail-fast path: no breaker, lookup errors
+            # propagate to the caller.
+            decision = self.tables.lookup(
+                model,
+                link.capacity,
+                link.qos,
+                self.policy,
+                key=self._decision_key(model, link, self.policy),
+            )
+            fallback = False
+        else:
+            if (
+                overload is not None
+                and now is not None
+                and not overload.queue.offer(float(now))
+            ):
+                # Shed before any table work: overload protection must
+                # not cost a lookup per rejected request.
+                if enabled:
+                    recorder = link.telemetry
+                    recorder.counts[_SHED] += 1
+                    occupancy = recorder.buffers[_OCCUPANCY]
+                    occupancy.append(len(connections))
+                    recorder.note(occupancy)
+                return _new_record(
+                    AdmissionDecision,
+                    (
+                        False,
+                        link_id,
+                        connection_id,
+                        self.policy,
+                        REASON_SHED,
+                        -1,
+                        len(connections),
+                        None,
+                        False,
+                    ),
                 )
-            return AdmissionDecision(
-                admitted=False,
-                link_id=link_id,
-                connection_id=connection_id,
-                policy=self.policy,
-                reason=REASON_SHED,
-                admissible=-1,
-                occupancy=link.occupancy,
-                effective_bandwidth=None,
+            decision, fallback = self._guarded_lookup(
+                model, link, force_fallback, enabled
             )
 
-        decision = None
-        fallback = bool(force_fallback)
-        if not fallback:
-            if overload is not None:
-                if overload.breaker.allow_primary():
-                    try:
-                        decision = self.tables.lookup(
-                            model,
-                            link.capacity,
-                            link.qos,
-                            self.policy,
-                            key=self._decision_key(model, link, self.policy),
-                        )
-                    except ReproError:
-                        opened = overload.breaker.record_failure()
-                        fallback = True
-                        if enabled:
-                            _metrics.add("service.table_lookup_failures")
-                            if opened:
-                                _metrics.add("service.breaker_opened")
-                    else:
-                        if overload.breaker.record_success() and enabled:
-                            _metrics.add("service.breaker_recovered")
-                else:
-                    fallback = True
-            else:
-                # Legacy fail-fast path: no breaker, lookup errors
-                # propagate to the caller.
-                decision = self.tables.lookup(
-                    model,
-                    link.capacity,
-                    link.qos,
-                    self.policy,
-                    key=self._decision_key(model, link, self.policy),
+        fingerprint, mean = self._info_for(model)
+        bandwidth = decision.effective_bandwidth
+        class_counts = link.class_counts
+        if fallback:
+            # The fallback boundary is a peak-allocation count: total
+            # occupancy below it is safe for *any* admitted mix, so no
+            # homogeneity guard applies here.
+            admitted = len(connections) < decision.admissible
+            if admitted and self.policy == EFFECTIVE_BANDWIDTH_METHOD:
+                # Keep effective-bandwidth bookkeeping conservative:
+                # charge the peak allocation, symmetric on release.
+                bandwidth = float(model.mean) + float(model.std) * PEAK_SIGMA
+        elif self.policy == EFFECTIVE_BANDWIDTH_METHOD:
+            admitted = (
+                link.admitted_bandwidth + bandwidth <= link.capacity
+            )
+        else:
+            if class_counts and fingerprint not in class_counts:
+                raise ParameterError(
+                    f"link {link_id!r} carries class "
+                    f"{next(iter(class_counts))} but policy "
+                    f"{self.policy!r} is homogeneous-only; use the "
+                    f"{EFFECTIVE_BANDWIDTH_METHOD!r} policy for mixes"
                 )
+            admitted = class_counts.get(fingerprint, 0) < decision.admissible
+        if admitted:
+            connections[connection_id] = _new_record(
+                _Connection, (fingerprint, mean, bandwidth)
+            )
+            class_counts[fingerprint] = class_counts.get(fingerprint, 0) + 1
+            if bandwidth is not None:
+                link.admitted_bandwidth += bandwidth
+            link.admitted_mean_load += mean
+        occupancy = len(connections)
+        if enabled:
+            recorder = link.telemetry
+            counts = recorder.counts
+            counts[_ADMITTED if admitted else _BLOCKED] += 1
+            if fallback:
+                counts[_FALLBACK] += 1
+            buffers = recorder.buffers
+            buffers[_LATENCY].append(perf_counter_ns() - started)
+            # Occupancy after the decision is deterministic for a
+            # given seed, so its sketch is part of the serial-vs-jobs
+            # bit-identity contract (latency sketches are not).  Every
+            # decision, shed or not, lands in this buffer, so it is
+            # the one that fills first.
+            buffers[_OCCUPANCY].append(occupancy)
+            recorder.note(buffers[_OCCUPANCY])
+        return _new_record(
+            AdmissionDecision,
+            (
+                admitted,
+                link_id,
+                connection_id,
+                self.policy,
+                REASON_ADMITTED if admitted else REASON_CAPACITY,
+                decision.admissible,
+                occupancy,
+                bandwidth,
+                fallback,
+            ),
+        )
+
+    def _guarded_lookup(
+        self,
+        model: TrafficModel,
+        link: LinkState,
+        force_fallback: bool,
+        enabled: bool,
+    ) -> tuple:
+        """``(decision, fallback)`` behind the overload breaker."""
+        overload = self.overload
+        fallback = bool(force_fallback)
+        decision = None
+        if not fallback:
+            # Only reached with an overload policy (admit serves the
+            # breaker-less primary lookup itself).
+            if overload.breaker.allow_primary():
+                try:
+                    decision = self.tables.lookup(
+                        model,
+                        link.capacity,
+                        link.qos,
+                        self.policy,
+                        key=self._decision_key(model, link, self.policy),
+                    )
+                except ReproError:
+                    opened = overload.breaker.record_failure()
+                    fallback = True
+                    if enabled:
+                        _metrics.add("service.table_lookup_failures")
+                        if opened:
+                            _metrics.add("service.breaker_opened")
+                else:
+                    if overload.breaker.record_success() and enabled:
+                        _metrics.add("service.breaker_recovered")
+            else:
+                fallback = True
         if fallback:
             fallback_method = (
                 overload.policy.fallback_method
@@ -337,75 +456,7 @@ class AdmissionEngine:
             )
             if overload is not None:
                 overload.fallback_total += 1
-            if enabled:
-                _metrics.add("service.fallback_decisions")
-
-        fingerprint = self._fingerprint_for(model)
-        bandwidth = decision.effective_bandwidth
-        if fallback:
-            # The fallback boundary is a peak-allocation count: total
-            # occupancy below it is safe for *any* admitted mix, so no
-            # homogeneity guard applies here.
-            admitted = link.occupancy < decision.admissible
-            if admitted and self.policy == EFFECTIVE_BANDWIDTH_METHOD:
-                # Keep effective-bandwidth bookkeeping conservative:
-                # charge the peak allocation, symmetric on release.
-                bandwidth = float(model.mean) + float(model.std) * PEAK_SIGMA
-        elif self.policy == EFFECTIVE_BANDWIDTH_METHOD:
-            admitted = (
-                link.admitted_bandwidth + bandwidth <= link.capacity
-            )
-        else:
-            if link.class_counts and fingerprint not in link.class_counts:
-                raise ParameterError(
-                    f"link {link_id!r} carries class "
-                    f"{next(iter(link.class_counts))} but policy "
-                    f"{self.policy!r} is homogeneous-only; use the "
-                    f"{EFFECTIVE_BANDWIDTH_METHOD!r} policy for mixes"
-                )
-            admitted = (
-                link.class_counts.get(fingerprint, 0) < decision.admissible
-            )
-        if admitted:
-            link.connections[connection_id] = _Connection(
-                fingerprint=fingerprint,
-                mean=float(model.mean),
-                effective_bandwidth=bandwidth,
-            )
-            link.class_counts[fingerprint] = (
-                link.class_counts.get(fingerprint, 0) + 1
-            )
-            if bandwidth is not None:
-                link.admitted_bandwidth += bandwidth
-            link.admitted_mean_load += float(model.mean)
-        if enabled:
-            _metrics.add(
-                "service.admitted" if admitted else "service.blocked"
-            )
-            latency_ns = time.perf_counter_ns() - started
-            # Tail-latency sketches: one aggregate, one per link (the
-            # obs sweep reads both to render latency-vs-rho tables).
-            _metrics.observe_sketch("service.admit_latency_ns", latency_ns)
-            _metrics.observe_sketch(
-                f"service.admit_latency_ns.{link_id}", latency_ns
-            )
-            # Occupancy after the decision is deterministic for a
-            # given seed, so this sketch is part of the serial-vs-jobs
-            # bit-identity contract (latency sketches are not).
-            _metrics.observe_sketch(
-                f"service.occupancy.{link_id}", link.occupancy
-            )
-        return AdmissionDecision(
-            admitted=admitted,
-            link_id=link_id,
-            connection_id=connection_id,
-            policy=self.policy,
-            reason=REASON_ADMITTED if admitted else REASON_CAPACITY,
-            admissible=decision.admissible,
-            occupancy=link.occupancy,
-            effective_bandwidth=bandwidth,
-            fallback=fallback,
-        )
+        return decision, fallback
 
     def release(self, link_id: str, connection_id: str) -> None:
         """Tear down an admitted connection, freeing its allocation."""
@@ -417,16 +468,25 @@ class AdmissionEngine:
                 f"connection {connection_id!r} is not admitted on "
                 f"link {link_id!r}"
             ) from None
-        remaining = link.class_counts[connection.fingerprint] - 1
+        class_counts = link.class_counts
+        remaining = class_counts[connection.fingerprint] - 1
         if remaining:
-            link.class_counts[connection.fingerprint] = remaining
+            class_counts[connection.fingerprint] = remaining
         else:
-            del link.class_counts[connection.fingerprint]
+            del class_counts[connection.fingerprint]
         if connection.effective_bandwidth is not None:
             link.admitted_bandwidth -= connection.effective_bandwidth
         link.admitted_mean_load -= connection.mean
         if _spans._ENABLED:
-            _metrics.add("service.released")
+            recorder = link.telemetry
+            recorder.counts[_RELEASED] += 1
+            recorder.note()
+
+    def flush_telemetry(self) -> None:
+        """Fold every link's (and the table cache's) pending telemetry."""
+        for link in self._links.values():
+            link.telemetry.flush()
+        self.tables.flush_telemetry()
 
     # -- exact state transport (journal snapshots) ---------------------------
 

@@ -1,7 +1,6 @@
 """The async sharded admission frontend.
 
-ROADMAP open item 1's last structural piece: where
-:mod:`repro.service.replay` *replays* a recorded workload,
+Where :mod:`repro.service.replay` *replays* a recorded workload,
 this module *serves* admission — accept admit/release requests (over
 a socket, or through the in-process API the benchmarks and the
 open-loop driver use), route each link to its shard, and answer from

@@ -1,7 +1,7 @@
 """Explicit overload semantics: shedding, queueing, circuit breaking.
 
-ROADMAP item 2 asks for "documented backpressure behavior past
-saturation".  Before this module the admission service had none: every
+An admission service needs documented backpressure behavior past
+saturation.  Before this module the admission service had none: every
 request paid a full table lookup no matter how far past saturation the
 offered load ran, and a failing table lookup took the whole shard
 down.  This module gives overload three defined, *deterministic*

@@ -462,10 +462,11 @@ def replay_link(
         if faulty_tables is not None:
             faulty_tables.current_request = i
         occupancy_before = link.occupancy
+        connection_id = f"c{i}"
         decision = admit(
             link_id,
             models[labels[i]],
-            f"c{i}",
+            connection_id,
             now=now if overload_active else None,
             force_fallback=forced.fallback if forced is not None else False,
         )
@@ -487,7 +488,7 @@ def replay_link(
             replay.admitted += 1
             if decision.occupancy > replay.peak_occupancy:
                 replay.peak_occupancy = decision.occupancy
-            heappush(departures, (now + float(holdings[i]), f"c{i}"))
+            heappush(departures, (now + float(holdings[i]), connection_id))
         else:
             replay.blocked += 1
         if decision.fallback:
@@ -548,6 +549,7 @@ def replay_link(
         if journal is not None:
             journal.close()
 
+    engine.flush_telemetry()
     if _spans._ENABLED:
         _metrics.add("service.requests_replayed", workload.n_requests)
         # add(0) still registers the instrument, so serial and

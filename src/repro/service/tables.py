@@ -267,6 +267,8 @@ class DecisionTableCache:
         self.hits = 0
         self.misses = 0
         self.loaded = 0
+        #: ``service.table_hits``, folded into the registry in batches.
+        self._telemetry = _metrics.BatchRecorder(("service.table_hits",))
         #: Damaged lines dropped (not fatal) during the last load.
         self.recovered_lines = 0
         if self.path is not None and self.path.exists():
@@ -361,7 +363,9 @@ class DecisionTableCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 if _spans._ENABLED:
-                    _metrics.add("service.table_hits")
+                    telemetry = self._telemetry
+                    telemetry.counts[0] += 1
+                    telemetry.note()
                 return decision
         decision = _compute_decision(key, model, link_capacity, qos, method)
         with self._lock:
@@ -410,6 +414,10 @@ class DecisionTableCache:
                 encode_line(entry.to_dict()) + "\n"
                 for entry in self._entries.values()
             )
+
+    def flush_telemetry(self) -> None:
+        """Fold pending ``service.table_hits`` into the registry."""
+        self._telemetry.flush()
 
     def _evict(self) -> None:
         while len(self._entries) > self.max_entries:

@@ -10,6 +10,8 @@ import pytest
 import repro.obs as obs
 from repro.obs import metrics
 from repro.obs.metrics import (
+    BATCH_LIMIT,
+    BatchRecorder,
     Counter,
     Gauge,
     Histogram,
@@ -245,3 +247,83 @@ class TestMergeSnapshot:
         sketch = metrics.sketch("lat")
         assert sketch.count == 4
         assert sketch.max == 20.0
+
+
+class TestBatchRecorder:
+    def test_flush_folds_count_growth_and_buffers(self, telemetry):
+        recorder = BatchRecorder(("hits",), (("lat", "lat.a"),))
+        recorder.counts[0] += 3
+        recorder.buffers[0].extend([5, 7])
+        recorder.note()
+        assert metrics.snapshot()[0] == {
+            "type": "counter",
+            "name": "hits",
+            "value": 3.0,
+        }
+        recorder.counts[0] += 2
+        recorder.flush()
+        assert metrics.counter("hits").value == 5.0
+        assert metrics.sketch("lat").count == 2
+        assert metrics.sketch("lat.a").to_dict()["buckets"] == (
+            metrics.sketch("lat").to_dict()["buckets"]
+        )
+
+    def test_unnoted_recorder_is_not_folded_by_snapshot(self, telemetry):
+        recorder = BatchRecorder(("hits",))
+        recorder.counts[0] += 1
+        assert metrics.snapshot() == []
+        recorder.note()
+        assert metrics.snapshot()[0]["value"] == 1.0
+
+    def test_full_buffer_folds_at_the_limit(self, telemetry):
+        recorder = BatchRecorder((), (("occ",),))
+        buffer = recorder.buffers[0]
+        for value in range(2 * BATCH_LIMIT + 2):
+            buffer.append(value)
+            recorder.note(buffer)
+        assert len(buffer) == 2
+        assert metrics.sketch("occ").count == 2 * BATCH_LIMIT
+
+    def test_fold_and_discard_unregister_the_recorder(self, telemetry):
+        recorder = BatchRecorder(("hits",), (("occ",),))
+        recorder.counts[0] += 1
+        recorder.note()
+        assert metrics.REGISTRY._pending == {recorder}
+        recorder.flush()
+        assert not recorder.pending and not metrics.REGISTRY._pending
+        buffer = recorder.buffers[0]
+        for value in range(BATCH_LIMIT):
+            buffer.append(value)
+            recorder.note(buffer)
+        assert not recorder.pending and not metrics.REGISTRY._pending
+        recorder.counts[0] += 1
+        recorder.note()
+        recorder.discard()
+        assert not recorder.pending and not metrics.REGISTRY._pending
+
+    def test_reset_discards_pending(self, telemetry):
+        recorder = BatchRecorder(("hits",), (("occ",),))
+        recorder.counts[0] += 4
+        recorder.buffers[0].append(1)
+        recorder.note()
+        metrics.reset_metrics()
+        assert not recorder.pending and not recorder.buffers[0]
+        recorder.counts[0] += 1
+        recorder.note()
+        assert metrics.snapshot() == [
+            {"type": "counter", "name": "hits", "value": 1.0}
+        ]
+
+    def test_pending_data_outlives_the_recorder_owner(self, telemetry):
+        import gc
+
+        def record_and_drop():
+            recorder = BatchRecorder(("hits",))
+            recorder.counts[0] += 1
+            recorder.note()
+
+        record_and_drop()
+        gc.collect()
+        assert metrics.counter("hits").value == 0.0
+        metrics.REGISTRY.flush_pending()
+        assert metrics.counter("hits").value == 1.0

@@ -108,6 +108,74 @@ class TestIngestion:
             QuantileSketch("x", 1.0)
 
 
+def _boundary_values(gamma):
+    """Every power ``gamma**i`` and its two float neighbours."""
+    for i in range(-300, 1500):
+        bound = gamma**i
+        yield from (math.nextafter(bound, 0.0), bound)
+        yield math.nextafter(bound, math.inf)
+
+
+class TestBucketBoundaries:
+    """Bucket ``i`` is ``(gamma^(i-1), gamma^i]``, exactly, at its edges."""
+
+    @pytest.mark.parametrize("accuracy", [0.01, 0.05])
+    def test_values_at_and_next_to_bounds(self, accuracy):
+        sketch = QuantileSketch("x", accuracy)
+        gamma = sketch._gamma
+        for value in _boundary_values(gamma):
+            index = sketch._bucket_index(value)
+            assert gamma ** (index - 1) < value <= gamma**index, (
+                f"{value!r} placed in bucket {index}"
+            )
+
+    def test_exact_powers_land_in_their_own_bucket(self):
+        sketch = QuantileSketch("x")
+        gamma = sketch._gamma
+        misplaced = [
+            i for i in range(-300, 1500) if sketch._bucket_index(gamma**i) != i
+        ]
+        assert misplaced == []
+
+    @pytest.mark.parametrize("accuracy", [0.01, 0.05])
+    def test_batched_ingestion_equals_one_at_a_time(self, accuracy):
+        gamma = QuantileSketch("x", accuracy)._gamma
+        rng = np.random.default_rng(11)
+        values = list(_boundary_values(gamma))
+        values += rng.lognormal(5.0, 4.0, size=5_000).tolist()
+        values += rng.integers(0, 100_000, size=5_000).tolist()
+        batched = QuantileSketch("x", accuracy)
+        batched.observe_many(values)
+        single = QuantileSketch("x", accuracy)
+        for value in values:
+            single.observe(value)
+        assert batched.to_json() == single.to_json()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_both_sides_of_the_vector_cutoff_agree(self, offset):
+        from repro.obs.sketch import _VECTOR_MIN
+
+        rng = np.random.default_rng(5)
+        values = rng.lognormal(8.0, 1.0, size=_VECTOR_MIN + offset).tolist()
+        batched = QuantileSketch("x")
+        batched.observe_many(values)
+        single = QuantileSketch("x")
+        for value in values:
+            single.observe(value)
+        assert batched.to_json() == single.to_json()
+
+    def test_integer_and_array_inputs_agree(self):
+        values = list(range(0, 5_000, 7))
+        from_list = QuantileSketch("x")
+        from_list.observe_many(values)
+        from_array = QuantileSketch("x")
+        from_array.observe_many(np.asarray(values, dtype=np.int64))
+        from_generator = QuantileSketch("x")
+        from_generator.observe_many(v for v in values)
+        assert from_list.to_json() == from_array.to_json()
+        assert from_list.to_json() == from_generator.to_json()
+
+
 class TestMergeByteIdentity:
     def test_sharded_merge_is_byte_identical_to_unsharded(self):
         rng = np.random.default_rng(42)
