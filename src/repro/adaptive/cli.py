@@ -35,12 +35,18 @@ from typing import List, Optional
 from repro import obs
 from repro.adaptive.nonstationary import parse_regime_plan
 from repro.adaptive.recompute import adaptive_replay
-from repro.atm.qos import QoSRequirement
 from repro.exceptions import ReproError
-from repro.service.cli import CLASS_PRESETS, build_class
-from repro.service.tables import SERVICE_METHODS, DecisionTableCache
+from repro.service.cli import (
+    LINK_FLAGS,
+    OFFER_FLAGS,
+    RUN_FLAGS,
+    add_service_args,
+    build_class,
+    link_contract,
+    offered_arrival_rate,
+)
+from repro.service.tables import DecisionTableCache
 from repro.service.workload import WorkloadSpec
-from repro.utils.units import mbps_to_cells_per_frame
 
 __all__ = ["build_parser", "main"]
 
@@ -53,57 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
             "detection and hot-swapped decision tables"
         ),
     )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=20_000,
-        metavar="N",
-        help="connection requests per link (default 20000)",
+    add_service_args(
+        parser,
+        LINK_FLAGS
+        + RUN_FLAGS
+        + OFFER_FLAGS
+        + ("--summary-out", "--trace"),
     )
-    parser.add_argument(
-        "--links",
-        type=int,
-        default=1,
-        metavar="L",
-        help="independent links to replay (default 1)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard links across N worker processes; the summary is "
-        "bit-identical to --jobs 1 (default 1)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1 (default warm)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
-    )
-    parser.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        type=build_class,
-        metavar="NAME[:WEIGHT]",
-        help="declared (signalled) class (repeatable); presets: "
-        + ", ".join(sorted(CLASS_PRESETS))
-        + " (default: conference)",
-    )
+    parser.set_defaults(requests=20_000)
     parser.add_argument(
         "--regime-plan",
         metavar="PLAN",
@@ -183,56 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CLR-trajectory buckets over the request index (default 20)",
     )
     parser.add_argument(
-        "--capacity-mbps",
-        type=float,
-        default=155.52,
-        metavar="MBPS",
-        help="link rate in Mbit/s (default 155.52, OC-3)",
-    )
-    parser.add_argument(
-        "--delay-ms",
-        type=float,
-        default=20.0,
-        metavar="MS",
-        help="per-node QoS delay budget (default 20 msec)",
-    )
-    parser.add_argument(
-        "--clr",
-        type=float,
-        default=1e-6,
-        metavar="P",
-        help="QoS cell loss rate target (default 1e-6)",
-    )
-    parser.add_argument(
-        "--erlangs",
-        type=float,
-        default=None,
-        metavar="A",
-        help="offered load in Erlangs per link (default: 0.3x the "
-        "declared class's admissible-N boundary)",
-    )
-    parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="connection arrivals/second per link (overrides --erlangs)",
-    )
-    parser.add_argument(
-        "--holding-mean",
-        type=float,
-        default=90.0,
-        metavar="SECONDS",
-        help="mean connection holding time (default 90 s)",
-    )
-    parser.add_argument(
-        "--summary-out",
-        metavar="FILE",
-        default=None,
-        help="write the canonical JSON summary to FILE (byte-identical "
-        "across --jobs values)",
-    )
-    parser.add_argument(
         "--clr-out",
         metavar="FILE",
         default=None,
@@ -243,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="append a schema-2 timings row to FILE",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect telemetry and print the span/metrics summary",
     )
     return parser
 
@@ -328,18 +236,9 @@ def _append_timing(path: str, summary, wall_seconds: float, jobs: int) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     declared = args.classes or [build_class("conference")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
+    capacity, qos = link_contract(args)
 
     try:
         plan = parse_regime_plan(
@@ -375,15 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # attributable to the model mismatch, not to raw overload.
     tables = DecisionTableCache()
     boundary = tables.lookup(declared[0].model, capacity, qos, args.policy)
-    if args.arrival_rate is not None:
-        arrival_rate = args.arrival_rate
-    else:
-        erlangs = (
-            args.erlangs
-            if args.erlangs is not None
-            else 0.3 * max(boundary.admissible, 1)
-        )
-        arrival_rate = erlangs / args.holding_mean
+    arrival_rate = offered_arrival_rate(args, boundary.admissible, 0.3)
 
     try:
         spec = WorkloadSpec(

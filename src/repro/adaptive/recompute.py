@@ -36,16 +36,16 @@ per-link seeded streams, pooled in link-index order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.atm.qos import QoSRequirement
-from repro.adaptive.drift import DriftDetector, DriftEvent
+from repro.adaptive.drift import DriftDetector
 from repro.adaptive.nonstationary import (
-    NonstationaryWorkload,
     RegimePlan,
     generate_nonstationary_workload,
 )
@@ -54,15 +54,11 @@ from repro.exceptions import ParameterError, StabilityError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend, resolve_backend
-from repro.parallel.worker import (
-    WorkerPayload,
-    execute_payload,
-    merge_result_telemetry,
-)
+from repro.parallel.backends import Backend, resolve_backend, run_payloads
+from repro.parallel.worker import WorkerPayload
 from repro.service.engine import AdmissionEngine
+from repro.service.kernel import FlatRecord, LinkLoop, LinkTask
 from repro.service.tables import (
-    EFFECTIVE_BANDWIDTH_METHOD,
     DecisionTableCache,
     _compute_decision,
     decision_key,
@@ -245,18 +241,14 @@ class RecomputeEngine:
                 telemetry=False,
                 health_check=False,
             )
-            with self.backend.session() as session:
-                session.submit(payload)
-                result = session.next_completed()
-            if result.failed:
-                raise result.error
+            (result,) = run_payloads(self.backend, [payload])
             return bytes(
                 np.asarray(result.lost, dtype=np.float64).astype(np.uint8)
             ).decode("utf-8")
 
 
 @dataclass(frozen=True)
-class AdaptiveLinkStats:
+class AdaptiveLinkStats(FlatRecord):
     """Measured outcome of one link's adaptive (or static) replay."""
 
     link_index: int
@@ -313,82 +305,10 @@ class AdaptiveLinkStats:
         denominator = capacity * self.elapsed_seconds
         return self.carried_load_seconds / denominator if denominator else 0.0
 
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_requests",
-        "admitted",
-        "blocked",
-        "peak_occupancy",
-        "boundary_violations",
-        "dropped",
-        "carried_load_seconds",
-        "elapsed_seconds",
-        "cache_hits",
-        "cache_misses",
-        "drift_detections",
-        "swaps",
-        "swap_request_index",
-        "first_detection_index",
-        "initial_admissible",
-        "final_admissible",
-        "generation",
-        "pre_switch_clr",
-        "post_switch_clr",
-    )
-
-    def as_array(self) -> np.ndarray:
-        """Fixed fields then bucket means then bucket counts."""
-        head = [float(getattr(self, name)) for name in self._FIELDS]
-        return np.asarray(
-            head
-            + [float(v) for v in self.clr_bucket_means]
-            + [float(v) for v in self.clr_bucket_counts]
-        )
-
-    @classmethod
-    def from_array(
-        cls, link_index: int, values: np.ndarray, n_buckets: int
-    ) -> "AdaptiveLinkStats":
-        values = np.asarray(values, dtype=float)
-        expected = len(cls._FIELDS) + 2 * n_buckets
-        if values.shape != (expected,):
-            raise ParameterError(
-                f"adaptive link-stats vector must have shape ({expected},), "
-                f"got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        offset = len(cls._FIELDS)
-        means = values[offset : offset + n_buckets]
-        counts = values[offset + n_buckets :]
-        return cls(
-            link_index=link_index,
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            boundary_violations=int(data["boundary_violations"]),
-            dropped=int(data["dropped"]),
-            carried_load_seconds=float(data["carried_load_seconds"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            drift_detections=int(data["drift_detections"]),
-            swaps=int(data["swaps"]),
-            swap_request_index=int(data["swap_request_index"]),
-            first_detection_index=int(data["first_detection_index"]),
-            initial_admissible=int(data["initial_admissible"]),
-            final_admissible=int(data["final_admissible"]),
-            generation=int(data["generation"]),
-            pre_switch_clr=float(data["pre_switch_clr"]),
-            post_switch_clr=float(data["post_switch_clr"]),
-            clr_bucket_means=tuple(float(v) for v in means),
-            clr_bucket_counts=tuple(int(v) for v in counts),
-        )
-
     def to_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in self._FIELDS}
-        data["link_index"] = self.link_index
+        data = {
+            f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+        }
         data["blocking_probability"] = self.blocking_probability
         data["final_clr"] = self.final_clr
         data["clr_bucket_means"] = list(self.clr_bucket_means)
@@ -471,9 +391,9 @@ def adaptive_replay_link(
 ) -> AdaptiveLinkStats:
     """Replay one link's nonstationary workload, adapting (or not).
 
-    The event loop mirrors :func:`repro.service.replay.replay_link`
-    (departure heap, carried-load integral, per-request boundary
-    check) with three additions:
+    Each request runs the shared admission step
+    (:class:`~repro.service.kernel.LinkLoop`, as in
+    :func:`repro.service.replay.replay_link`) with three additions:
 
     * every request's *observation* feeds the link's
       :class:`~repro.adaptive.drift.DriftDetector`;
@@ -491,8 +411,6 @@ def adaptive_replay_link(
     Everything is a pure function of the seeded stream, so a parallel
     run pools byte-identical per-link vectors.
     """
-    import heapq
-
     check_integer(n_buckets, "n_buckets", minimum=1)
     check_integer(recompute_lag, "recompute_lag", minimum=0)
     check_positive(capacity, "capacity")
@@ -514,7 +432,6 @@ def adaptive_replay_link(
 
     boundary = tables.lookup(declared[0].model, capacity, qos, policy)
     initial_admissible = boundary.admissible
-    count_policy = policy != EFFECTIVE_BANDWIDTH_METHOD
 
     detector = DriftDetector(
         link_id,
@@ -533,13 +450,6 @@ def adaptive_replay_link(
     switch_points = plan.switch_points(n)
     last_switch = switch_points[-1] if switch_points else 0
 
-    admitted = 0
-    blocked = 0
-    dropped = 0
-    peak_occupancy = 0
-    boundary_violations = 0
-    carried_load_seconds = 0.0
-    last_event_time = 0.0
     generation = 0
     swaps = 0
     swap_request_index = -1
@@ -555,12 +465,7 @@ def adaptive_replay_link(
     post_count = 0
     clr_memo: Dict[Tuple[int, int], float] = {}
 
-    departures: List[Tuple[float, str]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    admit = engine.admit
-    release = engine.release
-
+    loop = LinkLoop(engine, link_id)
     with span(
         "adaptive.replay.link",
         link=link_index,
@@ -594,32 +499,9 @@ def adaptive_replay_link(
                 pending_swap = None
 
             now = float(arrivals[i])
-            while departures and departures[0][0] <= now:
-                departed_at, connection_id = heappop(departures)
-                carried_load_seconds += link.admitted_mean_load * (
-                    departed_at - last_event_time
-                )
-                last_event_time = departed_at
-                release(link_id, connection_id)
-            carried_load_seconds += link.admitted_mean_load * (
-                now - last_event_time
+            loop.step(
+                now, now + float(holdings[i]), models[labels[i]], f"c{i}"
             )
-            last_event_time = now
-
-            occupancy_before = link.occupancy
-            connection_id = f"c{i}"
-            decision = admit(link_id, models[labels[i]], connection_id)
-            if decision.admitted:
-                admitted += 1
-                if decision.occupancy > peak_occupancy:
-                    peak_occupancy = decision.occupancy
-                heappush(departures, (now + float(holdings[i]), connection_id))
-            else:
-                blocked += 1
-            if count_policy and decision.admitted != (
-                occupancy_before < decision.admissible
-            ):
-                boundary_violations += 1
 
             event = detector.update(float(observations[i]))
             if event is not None:
@@ -668,12 +550,13 @@ def adaptive_replay_link(
     return AdaptiveLinkStats(
         link_index=link_index,
         n_requests=n,
-        admitted=admitted,
-        blocked=blocked,
-        peak_occupancy=peak_occupancy,
-        boundary_violations=boundary_violations,
-        dropped=dropped,
-        carried_load_seconds=carried_load_seconds,
+        admitted=loop.admitted,
+        blocked=loop.blocked,
+        peak_occupancy=loop.peak_occupancy,
+        boundary_violations=loop.boundary_violations,
+        # Every request must get a decision, swap or no swap.
+        dropped=n - loop.admitted - loop.blocked - loop.shed,
+        carried_load_seconds=loop.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,
         cache_misses=tables.misses,
@@ -689,45 +572,6 @@ def adaptive_replay_link(
         clr_bucket_means=tuple(float(v) for v in bucket_means),
         clr_bucket_counts=tuple(int(v) for v in bucket_counts),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class _AdaptiveLinkTask:
-    """Picklable body of one link's adaptive replay, for any backend."""
-
-    spec: WorkloadSpec
-    declared: Tuple[ConnectionClass, ...]
-    plan: RegimePlan
-    candidates: Tuple[ConnectionClass, ...]
-    capacity: float
-    qos: QoSRequirement
-    policy: str
-    adapt: bool
-    drift_window: int
-    drift_threshold: float
-    recompute_lag: int
-    n_buckets: int
-    table_text: Optional[str] = None
-
-    def __call__(self, index: int, generator: np.random.Generator):
-        stats = adaptive_replay_link(
-            self.spec,
-            self.declared,
-            self.plan,
-            self.candidates,
-            capacity=self.capacity,
-            qos=self.qos,
-            policy=self.policy,
-            rng=generator,
-            link_index=index,
-            adapt=self.adapt,
-            drift_window=self.drift_window,
-            drift_threshold=self.drift_threshold,
-            recompute_lag=self.recompute_lag,
-            n_buckets=self.n_buckets,
-            table_text=self.table_text,
-        )
-        return stats.as_array(), float(stats.n_requests)
 
 
 def adaptive_replay(
@@ -760,24 +604,26 @@ def adaptive_replay(
     n_links = check_integer(n_links, "n_links", minimum=1)
     qos = qos if qos is not None else QoSRequirement()
     exec_backend = resolve_backend(backend, jobs, pool)
-    task = _AdaptiveLinkTask(
-        spec=spec,
-        declared=tuple(declared),
-        plan=plan,
-        candidates=tuple(candidates),
-        capacity=float(capacity),
-        qos=qos,
-        policy=policy,
-        adapt=bool(adapt),
-        drift_window=int(drift_window),
-        drift_threshold=float(drift_threshold),
-        recompute_lag=int(recompute_lag),
-        n_buckets=int(n_buckets),
-        table_text=table_text,
+    task = LinkTask(
+        adaptive_replay_link,
+        dict(
+            spec=spec,
+            declared=tuple(declared),
+            plan=plan,
+            candidates=tuple(candidates),
+            capacity=float(capacity),
+            qos=qos,
+            policy=policy,
+            adapt=bool(adapt),
+            drift_window=int(drift_window),
+            drift_threshold=float(drift_threshold),
+            recompute_lag=int(recompute_lag),
+            n_buckets=int(n_buckets),
+            table_text=table_text,
+        ),
     )
     telemetry = _spans.is_enabled()
     generators = spawn_generators(rng, n_links)
-    results: List = [None] * n_links
     payloads = [
         WorkerPayload(
             index=i,
@@ -797,25 +643,7 @@ def adaptive_replay(
         adapt=adapt,
         jobs=1 if exec_backend is None else exec_backend.jobs,
     ):
-        if exec_backend is None:
-            for payload in payloads:
-                result = execute_payload(payload)
-                if result.failed:
-                    raise result.error
-                results[result.index] = result
-        else:
-            with exec_backend.session() as session:
-                for payload in payloads:
-                    session.submit(payload)
-                while session.pending:
-                    result = session.next_completed()
-                    if result.failed:
-                        raise result.error
-                    results[result.index] = result
-            # Telemetry merges in link-index order, not completion
-            # order (canonical-JSON bit-identity).
-            for result in results:
-                merge_result_telemetry(result)
+        results = run_payloads(exec_backend, payloads)
     links = [
         AdaptiveLinkStats.from_array(i, results[i].lost, n_buckets)
         for i in range(n_links)

@@ -14,10 +14,11 @@ Four subcommands:
 * ``report`` — merge one or more telemetry JSONL files (spans +
   metrics, sketches included) and render the human summary or
   canonical JSON;
-* ``sweep`` — drive the admission-control replay over a grid of
-  utilizations rho (offered Erlangs = rho x admissible N) and print
-  the latency-vs-rho table: p50/p99/p999 admit latency per link and
-  aggregate, the tail-latency curve as rho -> 1;
+* ``sweep`` — drive the admission frontend open-loop
+  (:func:`repro.service.drive.drive`) over a grid of utilizations rho
+  (offered Erlangs = rho x admissible N) and print the latency-vs-rho
+  table: p50/p99/p999 admit latency per link and aggregate, the
+  tail-latency curve as rho -> 1;
 * ``compare`` — diff two ``timings.jsonl`` runs (or check jobs>1
   rows against serial within one file) and exit nonzero on
   regressions beyond ``--threshold`` — the CI perf gate;
@@ -36,18 +37,19 @@ from typing import List, Optional
 
 from repro.exceptions import ReproError
 from repro.obs import export as _export
-from repro.obs import metrics as _metrics
 from repro.obs import slo as _slo
-from repro.obs import spans as _spans
-from repro.obs import tracectx as _tracectx
 from repro.obs import timings as _timings
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sketch import QuantileSketch
+from repro.service.cli import (
+    LINK_FLAGS,
+    RUN_FLAGS,
+    add_service_args,
+    build_class,
+    link_contract,
+)
+from repro.service.drive import drive
 
 __all__ = ["build_parser", "main"]
-
-#: The quantiles of the latency-vs-rho table.
-SWEEP_QUANTILES = (0.5, 0.99, 0.999)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,30 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         "rho x admissible N Erlangs (repeatable; default 0.6 0.8 0.9 "
         "0.95)",
     )
-    sweep.add_argument("--requests", type=int, default=20_000, metavar="N")
-    sweep.add_argument("--links", type=int, default=1, metavar="L")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N")
-    sweep.add_argument("--seed", type=int, default=20260806, metavar="S")
-    sweep.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        metavar="NAME[:WEIGHT]",
-        help="offered class preset (as for the workload verb)",
+    add_service_args(
+        sweep, [f for f in LINK_FLAGS + RUN_FLAGS if f != "--pool"]
     )
-    sweep.add_argument(
-        "--policy", default="bahadur-rao", metavar="POLICY"
-    )
-    sweep.add_argument(
-        "--capacity-mbps", type=float, default=155.52, metavar="MBPS"
-    )
-    sweep.add_argument(
-        "--delay-ms", type=float, default=20.0, metavar="MS"
-    )
-    sweep.add_argument("--clr", type=float, default=1e-6, metavar="P")
-    sweep.add_argument(
-        "--holding-mean", type=float, default=90.0, metavar="SECONDS"
-    )
+    sweep.set_defaults(requests=20_000)
     sweep.add_argument(
         "--out",
         metavar="FILE",
@@ -211,53 +193,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _sketch_quantiles(data: Optional[dict]) -> dict:
-    if data is None or not data.get("count"):
-        return {f"p{q}": None for q in SWEEP_QUANTILES}
-    sketch = QuantileSketch.from_dict(data)
-    return {f"p{q}": sketch.quantile(q) for q in SWEEP_QUANTILES}
-
-
 def _format_ns(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value / 1000.0:>9.2f}"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Heavy imports stay local: `obs report/compare` must not pay for
-    # the model stack.
-    from repro.atm.qos import QoSRequirement
-    from repro.service.cli import build_class
-    from repro.service.replay import replay_workload
-    from repro.service.tables import DecisionTableCache
-    from repro.service.workload import WorkloadSpec
-    from repro.utils.units import mbps_to_cells_per_frame
-
-    if args.requests < 1:
-        raise ReproError(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        raise ReproError(f"--links must be >= 1, got {args.links}")
-    grid = args.rho or [0.6, 0.8, 0.9, 0.95]
-    for rho in grid:
-        if rho <= 0:
-            raise ReproError(f"--rho must be > 0, got {rho}")
-
-    classes = [build_class(spec) for spec in (args.classes or ["video"])]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
+    # The frontend's open-loop driver is the one latency-vs-rho
+    # producer: lambda = rho x N / tau per point, per-link streams
+    # spawned from --seed, exactly as ``runner drive``.
+    capacity, qos = link_contract(args)
+    report = drive(
+        args.classes or [build_class("video")],
+        n_links=args.links,
+        capacity=capacity,
+        qos=qos,
+        policy=args.policy,
+        rho_grid=args.rho or [0.6, 0.8, 0.9, 0.95],
+        requests_per_link=args.requests,
+        mean_holding_time=args.holding_mean,
+        seed=args.seed,
+        jobs=args.jobs,
     )
-    boundary = DecisionTableCache().lookup(
-        classes[0].model, capacity, qos, args.policy
-    )
-    admissible = max(boundary.admissible, 1)
-
-    previously_enabled = _spans.is_enabled()
-    _spans.enable()
-    rows = []
     print(
         f"latency-vs-rho sweep — policy {args.policy}, {args.links} "
         f"link(s) x {args.requests} requests/link, admissible N = "
-        f"{admissible}, jobs={args.jobs}"
+        f"{report.admissible}, jobs={args.jobs}"
     )
     header = (
         f"{'rho':>6} {'erlangs':>8} {'P(block)':>9} "
@@ -265,89 +225,53 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(header)
     print("-" * len(header))
-    try:
-        with _tracectx.start_trace():
-            for rho in grid:
-                _spans.reset_spans()
-                _metrics.reset_metrics()
-                erlangs = rho * admissible
-                spec = WorkloadSpec(
-                    n_requests=args.requests,
-                    arrival_rate=erlangs / args.holding_mean,
-                    mean_holding_time=args.holding_mean,
-                )
-                summary = replay_workload(
-                    spec,
-                    classes,
-                    n_links=args.links,
-                    capacity=capacity,
-                    qos=qos,
-                    policy=args.policy,
-                    rng=args.seed,
-                    jobs=args.jobs,
-                )
-                snapshot = {
-                    d["name"]: d
-                    for d in _metrics.snapshot()
-                    if d["type"] == "sketch"
-                }
-                aggregate = _sketch_quantiles(
-                    snapshot.get("service.admit_latency_ns")
-                )
-                links = {}
-                for stats in summary.links:
-                    link_id = f"link-{stats.link_index}"
-                    links[link_id] = _sketch_quantiles(
-                        snapshot.get(f"service.admit_latency_ns.{link_id}")
-                    )
-                rows.append(
-                    {
-                        "rho": rho,
-                        "offered_erlangs": erlangs,
-                        "blocking_probability": (
-                            summary.blocking_probability
-                        ),
-                        "n_requests": summary.n_requests,
-                        "admit_latency_ns": aggregate,
-                        "links": links,
-                    }
-                )
+    rows = []
+    for point in report.points:
+        aggregate = point.admit_latency_ns
+        links = point.link_admit_latency_ns
+        rows.append(
+            {
+                "rho": point.rho,
+                "offered_erlangs": point.offered_erlangs,
+                "blocking_probability": point.blocking_probability,
+                "n_requests": point.n_requests,
+                "admit_latency_ns": aggregate,
+                "links": links,
+            }
+        )
+        print(
+            f"{point.rho:>6.3f} {point.offered_erlangs:>8.1f} "
+            f"{point.blocking_probability:>9.4f} "
+            f"{_format_ns(aggregate['p0.5'])} "
+            f"{_format_ns(aggregate['p0.99'])} "
+            f"{_format_ns(aggregate['p0.999'])}"
+        )
+        if args.links > 1:
+            for link_id in sorted(links):
+                q = links[link_id]
                 print(
-                    f"{rho:>6.3f} {erlangs:>8.1f} "
-                    f"{summary.blocking_probability:>9.4f} "
-                    f"{_format_ns(aggregate['p0.5'])} "
-                    f"{_format_ns(aggregate['p0.99'])} "
-                    f"{_format_ns(aggregate['p0.999'])}"
+                    f"{'':>6} {link_id:>8} {'':>9} "
+                    f"{_format_ns(q['p0.5'])} "
+                    f"{_format_ns(q['p0.99'])} "
+                    f"{_format_ns(q['p0.999'])}"
                 )
-                if args.links > 1:
-                    for link_id in sorted(links):
-                        q = links[link_id]
-                        print(
-                            f"{'':>6} {link_id:>8} {'':>9} "
-                            f"{_format_ns(q['p0.5'])} "
-                            f"{_format_ns(q['p0.99'])} "
-                            f"{_format_ns(q['p0.999'])}"
-                        )
-    finally:
-        if not previously_enabled:
-            _spans.disable()
 
     if args.out is not None:
-        report = {
+        out_report = {
             "kind": "latency_vs_rho",
             "policy": args.policy,
             "requests_per_link": args.requests,
             "links": args.links,
             "jobs": args.jobs,
             "seed": args.seed,
-            "admissible": admissible,
+            "admissible": report.admissible,
             "quantile_unit": "ns",
             "rows": rows,
         }
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(
-            json.dumps(report, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(out_report, sort_keys=True) + "\n", encoding="utf-8"
         )
         print(f"[wrote {out}]")
     return 0

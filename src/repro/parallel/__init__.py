@@ -27,6 +27,7 @@ from repro.parallel.backends import (
     WarmPoolBackend,
     get_default_backend,
     resolve_backend,
+    run_payloads,
     set_default_backend,
     shutdown_warm_pools,
     use_backend,
@@ -80,6 +81,7 @@ __all__ = [
     "publish_blob",
     "release_attachments",
     "resolve_backend",
+    "run_payloads",
     "set_default_backend",
     "shutdown_warm_pools",
     "unlink_owned",

@@ -42,7 +42,7 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.exceptions import ParameterError
 from repro.obs import tracectx as _tracectx
@@ -52,6 +52,7 @@ from repro.parallel.worker import (
     WorkerResult,
     execute_batch_payload,
     execute_payload,
+    merge_result_telemetry,
     pool_entry,
     pool_entry_batch,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "WarmPoolBackend",
     "get_default_backend",
     "resolve_backend",
+    "run_payloads",
     "set_default_backend",
     "shutdown_warm_pools",
     "use_backend",
@@ -638,3 +640,42 @@ def resolve_backend(
             return ProcessPoolBackend(jobs)
         return warm_pool(jobs)
     return get_default_backend()
+
+
+def run_payloads(
+    backend: Optional[Backend],
+    payloads: Sequence[WorkerPayload],
+    n_results: Optional[int] = None,
+) -> List[Optional[WorkerResult]]:
+    """Run ``payloads`` fail-fast and return results by payload index.
+
+    ``backend=None`` runs them inline, in order; otherwise they share
+    one session and are collected in completion order.  The first
+    failed result raises its error.  Worker telemetry is merged in
+    index order, never completion order, so sketch and counter
+    snapshots (and their canonical JSON) do not depend on which worker
+    finished first.  ``n_results`` sizes the returned list when some
+    indices have no payload (their slots stay ``None``).
+    """
+    results: List[Optional[WorkerResult]] = [None] * (
+        len(payloads) if n_results is None else n_results
+    )
+    if backend is None:
+        for payload in payloads:
+            result = execute_payload(payload)
+            if result.failed:
+                raise result.error
+            results[result.index] = result
+        return results
+    with backend.session() as session:
+        for payload in payloads:
+            session.submit(payload)
+        while session.pending:
+            result = session.next_completed()
+            if result.failed:
+                raise result.error
+            results[result.index] = result
+    for result in results:
+        if result is not None:
+            merge_result_telemetry(result)
+    return results

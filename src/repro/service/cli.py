@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.atm.qos import QoSRequirement
@@ -46,7 +46,21 @@ from repro.service.tables import SERVICE_METHODS, DecisionTableCache
 from repro.service.workload import ConnectionClass, WorkloadSpec
 from repro.utils.units import mbps_to_cells_per_frame
 
-__all__ = ["CLASS_PRESETS", "build_class", "build_parser", "main"]
+__all__ = [
+    "CLASS_PRESETS",
+    "HOLDING_FLAGS",
+    "LINK_FLAGS",
+    "OFFER_FLAGS",
+    "OVERLOAD_FLAGS",
+    "RUN_FLAGS",
+    "add_service_args",
+    "build_class",
+    "build_parser",
+    "link_contract",
+    "main",
+    "offered_arrival_rate",
+    "overload_from_args",
+]
 
 
 def _parse_chaos(values, n_fields, flag, parser):
@@ -107,6 +121,226 @@ def build_class(spec: str) -> ConnectionClass:
     return ConnectionClass(name=name, model=model, weight=weight)
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: Every flag the service front ends share, by name.
+_FLAG_SPECS = {
+    "--class": dict(
+        dest="classes",
+        action="append",
+        type=build_class,
+        metavar="NAME[:WEIGHT]",
+        help="offered class (repeatable; default video, declared "
+        "conference for adapt); presets: "
+        + ", ".join(f"{k} = {v}" for k, v in sorted(CLASS_PRESETS.items())),
+    ),
+    "--policy": dict(
+        choices=SERVICE_METHODS,
+        default="bahadur-rao",
+        help="admission policy (default %(default)s)",
+    ),
+    "--capacity-mbps": dict(
+        type=float,
+        default=155.52,
+        metavar="MBPS",
+        help="link rate in Mbit/s (default %(default)s, OC-3)",
+    ),
+    "--delay-ms": dict(
+        type=float,
+        default=20.0,
+        metavar="MS",
+        help="per-node QoS delay budget (default %(default)s msec)",
+    ),
+    "--clr": dict(
+        type=float,
+        default=1e-6,
+        metavar="P",
+        help="QoS cell loss rate target (default %(default)s)",
+    ),
+    "--links": dict(
+        type=_at_least_one,
+        default=1,
+        metavar="L",
+        help="independent links (default %(default)s)",
+    ),
+    "--requests": dict(
+        type=_at_least_one,
+        default=10_000,
+        metavar="N",
+        help="connection requests per link (default %(default)s)",
+    ),
+    "--jobs": dict(
+        type=_at_least_one,
+        default=1,
+        metavar="N",
+        help="spread the links over N worker processes; results are "
+        "bit-identical to --jobs 1 (default %(default)s)",
+    ),
+    "--pool": dict(
+        choices=("warm", "spawn"),
+        default=None,
+        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
+        "persistent workers) or 'spawn' (fresh processes per run)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=20260806,
+        metavar="S",
+        help="workload seed; per-link streams are SeedSequence children",
+    ),
+    "--holding-mean": dict(
+        type=float,
+        default=90.0,
+        metavar="SECONDS",
+        help="mean connection holding time (default %(default)s s)",
+    ),
+    "--erlangs": dict(
+        type=float,
+        default=None,
+        metavar="A",
+        help="offered load in Erlangs per link (default: a multiple of "
+        "the first class's admissible-N boundary — 1.2x for workload, "
+        "deliberately overloaded; 0.3x for adapt)",
+    ),
+    "--arrival-rate": dict(
+        type=float,
+        default=None,
+        metavar="RATE",
+        help="connection arrivals/second per link (overrides --erlangs)",
+    ),
+    "--heavy-tailed": dict(
+        action="store_true",
+        help="draw holding times from the heavy-tailed "
+        "(exponential-body/Pareto-tail) session law instead of "
+        "exponential",
+    ),
+    "--tail-gamma": dict(
+        type=float,
+        default=1.5,
+        metavar="G",
+        help="tail exponent for --heavy-tailed, in (1, 2) (default 1.5)",
+    ),
+    "--summary-out": dict(
+        metavar="FILE",
+        default=None,
+        help="write the canonical JSON summary to FILE (byte-identical "
+        "across --jobs values)",
+    ),
+    "--trace": dict(
+        action="store_true",
+        help="collect telemetry and print the span/metrics summary",
+    ),
+    "--max-queue": dict(
+        type=int,
+        default=None,
+        metavar="DEPTH",
+        help="bound each link's admission queue at DEPTH outstanding "
+        "decisions; arrivals past the bound are shed deterministically",
+    ),
+    "--decision-rate": dict(
+        type=float,
+        default=None,
+        metavar="PER_SEC",
+        help="modelled decision service rate (decisions/second on the "
+        "workload clock); required for --max-queue to ever shed",
+    ),
+    "--breaker-cooldown": dict(
+        type=int,
+        default=64,
+        metavar="N",
+        help="requests the circuit breaker stays open before probing "
+        "the primary policy again (default 64)",
+    ),
+}
+
+#: The flags that name the links and their admission contract.
+LINK_FLAGS = (
+    "--class",
+    "--policy",
+    "--capacity-mbps",
+    "--delay-ms",
+    "--clr",
+    "--links",
+)
+#: The flags that shape a replayed or driven workload.
+RUN_FLAGS = ("--requests", "--jobs", "--pool", "--seed", "--holding-mean")
+#: The offered load (see :func:`offered_arrival_rate`).
+OFFER_FLAGS = ("--erlangs", "--arrival-rate")
+#: The heavy-tailed holding-time law.
+HOLDING_FLAGS = ("--heavy-tailed", "--tail-gamma")
+#: The overload policy (see :func:`overload_from_args`).
+OVERLOAD_FLAGS = ("--max-queue", "--decision-rate", "--breaker-cooldown")
+
+
+def add_service_args(
+    parser: argparse.ArgumentParser,
+    flags: Sequence[str] = LINK_FLAGS + RUN_FLAGS,
+) -> None:
+    """Declare ``flags``, as every service front end means them.
+
+    The ``workload``, ``serve``, ``drive``, ``adapt`` and ``obs
+    sweep`` verbs declare their shared flags here; each keeps its own
+    defaults with ``parser.set_defaults``.  ``--class`` has no
+    argparse default (it appends): callers fall back to their preset.
+    The :data:`OVERLOAD_FLAGS` land in an "overload policy" group.
+    """
+    overload = None
+    for flag in flags:
+        target = parser
+        if flag in OVERLOAD_FLAGS:
+            if overload is None:
+                overload = parser.add_argument_group("overload policy")
+            target = overload
+        target.add_argument(flag, **_FLAG_SPECS[flag])
+
+
+def link_contract(args: argparse.Namespace) -> Tuple[float, QoSRequirement]:
+    """The link capacity (cells/frame) and QoS the flags name."""
+    return mbps_to_cells_per_frame(args.capacity_mbps), QoSRequirement(
+        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
+    )
+
+
+def offered_arrival_rate(
+    args: argparse.Namespace, admissible: int, load: float
+) -> float:
+    """The :data:`OFFER_FLAGS` as an arrival rate (connections/s).
+
+    ``--arrival-rate`` wins; else ``--erlangs``, by default ``load``
+    times the ``admissible`` boundary, over the mean holding time.
+    """
+    if args.arrival_rate is not None:
+        return args.arrival_rate
+    erlangs = (
+        args.erlangs
+        if args.erlangs is not None
+        else load * max(admissible, 1)
+    )
+    return erlangs / args.holding_mean
+
+
+def overload_from_args(args, parser) -> Optional[OverloadPolicy]:
+    """The :data:`OVERLOAD_FLAGS` as a policy (None without a queue)."""
+    if args.max_queue is None:
+        return None
+    if args.decision_rate is not None and args.decision_rate <= 0:
+        parser.error("--decision-rate must be > 0")
+    return OverloadPolicy(
+        max_queue_depth=args.max_queue,
+        decision_seconds=(
+            1.0 / args.decision_rate
+            if args.decision_rate is not None
+            else 0.0
+        ),
+        breaker_cooldown=args.breaker_cooldown,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-workload",
@@ -115,115 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
             "admission-control engine"
         ),
     )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=10_000,
-        metavar="N",
-        help="connection requests per link (default 10000)",
-    )
-    parser.add_argument(
-        "--links",
-        type=int,
-        default=1,
-        metavar="L",
-        help="independent links to replay (default 1)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard links across N worker processes; the summary is "
-        "bit-identical to --jobs 1 (default 1)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
-        "persistent workers reused across replays) or 'spawn' (fresh "
-        "processes per replay)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
-    )
-    parser.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        type=build_class,
-        metavar="NAME[:WEIGHT]",
-        help="offered class (repeatable); presets: "
-        + ", ".join(f"{k} = {v}" for k, v in sorted(CLASS_PRESETS.items()))
-        + " (default: video)",
-    )
-    parser.add_argument(
-        "--capacity-mbps",
-        type=float,
-        default=155.52,
-        metavar="MBPS",
-        help="link rate in Mbit/s (default 155.52, OC-3)",
-    )
-    parser.add_argument(
-        "--delay-ms",
-        type=float,
-        default=20.0,
-        metavar="MS",
-        help="per-node QoS delay budget (default 20 msec)",
-    )
-    parser.add_argument(
-        "--clr",
-        type=float,
-        default=1e-6,
-        metavar="P",
-        help="QoS cell loss rate target (default 1e-6)",
-    )
-    parser.add_argument(
-        "--erlangs",
-        type=float,
-        default=None,
-        metavar="A",
-        help="offered load in Erlangs per link (default: 1.2x the "
-        "admissible-N boundary, i.e. deliberately overloaded)",
-    )
-    parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="connection arrivals/second per link (overrides --erlangs)",
-    )
-    parser.add_argument(
-        "--holding-mean",
-        type=float,
-        default=90.0,
-        metavar="SECONDS",
-        help="mean connection holding time (default 90 s)",
-    )
-    parser.add_argument(
-        "--heavy-tailed",
-        action="store_true",
-        help="draw holding times from the heavy-tailed "
-        "(exponential-body/Pareto-tail) session law instead of "
-        "exponential",
-    )
-    parser.add_argument(
-        "--tail-gamma",
-        type=float,
-        default=1.5,
-        metavar="G",
-        help="tail exponent for --heavy-tailed, in (1, 2) (default 1.5)",
+    add_service_args(
+        parser,
+        LINK_FLAGS
+        + RUN_FLAGS
+        + OFFER_FLAGS
+        + HOLDING_FLAGS
+        + ("--summary-out", "--trace")
+        + OVERLOAD_FLAGS,
     )
     parser.add_argument(
         "--table-cache",
@@ -231,18 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist decision tables as JSONL at FILE (warmed before "
         "the replay; workers load it read-only)",
-    )
-    parser.add_argument(
-        "--summary-out",
-        metavar="FILE",
-        default=None,
-        help="write the canonical JSON summary to FILE (byte-identical "
-        "across --jobs values)",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect telemetry and print the span/metrics summary",
     )
     fault = parser.add_argument_group(
         "fault tolerance (docs/ROBUSTNESS.md)"
@@ -298,31 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base restart backoff, doubled per attempt (default 0: "
         "restart immediately — journal recovery is deterministic)",
     )
-    overload = parser.add_argument_group("overload policy")
-    overload.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="bound the admission queue at DEPTH outstanding decisions; "
-        "arrivals past the bound are shed deterministically",
-    )
-    overload.add_argument(
-        "--decision-rate",
-        type=float,
-        default=None,
-        metavar="PER_SEC",
-        help="modelled decision service rate (decisions/second on the "
-        "workload clock); required for --max-queue to ever shed",
-    )
-    overload.add_argument(
-        "--breaker-cooldown",
-        type=int,
-        default=64,
-        metavar="N",
-        help="requests the circuit breaker stays open before probing "
-        "the primary policy again (default 64)",
-    )
     chaos = parser.add_argument_group(
         "chaos injection (deterministic; requires --supervise)"
     )
@@ -358,13 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-
     crash = _parse_chaos(args.chaos_crash, 3, "--chaos-crash", parser)
     hang = _parse_chaos(args.chaos_hang, 4, "--chaos-hang", parser)
     torn = _parse_chaos(
@@ -406,25 +495,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             heartbeat_seconds=args.heartbeat,
             backoff_seconds=args.backoff,
         )
-    overload = None
-    if args.max_queue is not None:
-        if args.decision_rate is not None and args.decision_rate <= 0:
-            parser.error("--decision-rate must be > 0")
-        overload = OverloadPolicy(
-            max_queue_depth=args.max_queue,
-            decision_seconds=(
-                1.0 / args.decision_rate
-                if args.decision_rate is not None
-                else 0.0
-            ),
-            breaker_cooldown=args.breaker_cooldown,
-        )
-
+    overload = overload_from_args(args, parser)
     classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
+    capacity, qos = link_contract(args)
 
     if args.trace:
         obs.enable()
@@ -436,15 +509,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     tables = DecisionTableCache(path=args.table_cache)
     boundary = tables.lookup(classes[0].model, capacity, qos, args.policy)
 
-    if args.arrival_rate is not None:
-        arrival_rate = args.arrival_rate
-    else:
-        erlangs = (
-            args.erlangs
-            if args.erlangs is not None
-            else 1.2 * max(boundary.admissible, 1)
-        )
-        arrival_rate = erlangs / args.holding_mean
+    arrival_rate = offered_arrival_rate(args, boundary.admissible, 1.2)
 
     try:
         spec = WorkloadSpec(

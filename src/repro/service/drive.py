@@ -42,8 +42,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import heapq
-
 import numpy as np
 
 from repro.atm.qos import QoSRequirement
@@ -57,21 +55,15 @@ from repro.parallel.backends import (
     Backend,
     ProcessPoolBackend,
     resolve_backend,
+    run_payloads,
 )
 from repro.parallel.shm import attach_blob, publish_blob
-from repro.parallel.worker import (
-    WorkerPayload,
-    execute_payload,
-    merge_result_telemetry,
-)
-from repro.service.engine import REASON_SHED, AdmissionEngine
+from repro.parallel.worker import WorkerPayload
+from repro.service.engine import AdmissionEngine
 from repro.service.frontend import ConsistentHashRing
+from repro.service.kernel import FlatRecord, LinkLoop, pool_totals
 from repro.service.overload import OverloadPolicy
-from repro.service.tables import (
-    EFFECTIVE_BANDWIDTH_METHOD,
-    SERVICE_METHODS,
-    DecisionTableCache,
-)
+from repro.service.tables import SERVICE_METHODS, DecisionTableCache
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -114,7 +106,7 @@ def derive_arrival_rate(
 
 
 @dataclass(frozen=True)
-class ShardDriveStats:
+class ShardDriveStats(FlatRecord):
     """Measured outcome of one shard's open-loop drive."""
 
     shard_index: int
@@ -135,49 +127,6 @@ class ShardDriveStats:
             self.n_requests / self.elapsed_seconds
             if self.elapsed_seconds
             else 0.0
-        )
-
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_links",
-        "n_requests",
-        "admitted",
-        "blocked",
-        "shed",
-        "fallbacks",
-        "boundary_violations",
-        "peak_occupancy",
-        "elapsed_seconds",
-    )
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(
-            [float(getattr(self, name)) for name in self._FIELDS]
-        )
-
-    @classmethod
-    def from_array(
-        cls, shard_index: int, values: np.ndarray
-    ) -> "ShardDriveStats":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(cls._FIELDS),):
-            raise ParameterError(
-                f"shard-stats vector must have shape "
-                f"({len(cls._FIELDS)},), got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        return cls(
-            shard_index=shard_index,
-            n_links=int(data["n_links"]),
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            shed=int(data["shed"]),
-            fallbacks=int(data["fallbacks"]),
-            boundary_violations=int(data["boundary_violations"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
         )
 
 
@@ -202,6 +151,8 @@ class DrivePoint:
     #: p50/p99/p999 admit latency in ns (None when unmeasured).
     admit_latency_ns: Dict[str, Optional[float]]
     shards: Tuple[ShardDriveStats, ...]
+    #: The same quantiles per link id.
+    link_admit_latency_ns: Dict[str, Dict[str, Optional[float]]]
 
     @property
     def blocking_probability(self) -> float:
@@ -333,11 +284,9 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
         tables.load_text(attach_blob(task.table_image).decode("utf-8"))
     elif task.table_text is not None:
         tables.load_text(task.table_text)
-    overload_active = task.overload is not None
-    count_policy = task.policy != EFFECTIVE_BANDWIDTH_METHOD
     models = [c.model for c in task.classes]
 
-    engines: List[AdmissionEngine] = []
+    loops: List[LinkLoop] = []
     workload_arrays = []
     for link_id, link_generator in zip(
         task.link_ids, task.link_generators
@@ -346,23 +295,8 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
             policy=task.policy, tables=tables, overload=task.overload
         )
         engine.add_link(link_id, task.capacity, task.qos)
-        engines.append(engine)
+        loops.append(LinkLoop(engine, link_id))
         workload_arrays.append(task.generate(link_generator))
-
-    n_links = len(task.link_ids)
-    if n_links == 0:
-        return ShardDriveStats(
-            shard_index=shard_index,
-            n_links=0,
-            n_requests=0,
-            admitted=0,
-            blocked=0,
-            shed=0,
-            fallbacks=0,
-            boundary_violations=0,
-            peak_occupancy=0,
-            elapsed_seconds=0.0,
-        )
 
     # Merge the shard's links into one time-ordered open-loop stream.
     # Stable ordering keeps ties deterministic (and per-link order
@@ -388,21 +322,13 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
         [w.class_indices for w in workload_arrays]
     )[order]
     n_requests = int(arrivals.shape[0])
-
-    admitted = blocked = shed = fallbacks = 0
-    boundary_violations = 0
-    peak_occupancy = 0
-    departure_heaps: List[list] = [[] for _ in range(n_links)]
-    links = [engine.link(link_id)
-             for engine, link_id in zip(engines, task.link_ids)]
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    steps = [loop.step for loop in loops]
 
     started = time.perf_counter()
     with span(
         "service.frontend.drive_shard",
         shard=shard_index,
-        links=n_links,
+        links=len(loops),
         requests=n_requests,
         policy=task.policy,
     ):
@@ -418,77 +344,25 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
                 departs[chunk].tolist(),
                 class_of[chunk].tolist(),
             ):
-                engine = engines[link_index]
-                link_id = task.link_ids[link_index]
-                link = links[link_index]
-                heap = departure_heaps[link_index]
-                while heap and heap[0][0] <= now:
-                    _, connection_id = heappop(heap)
-                    engine.release(link_id, connection_id)
-                occupancy_before = len(link.connections)
-                connection_id = f"c{j}"
-                decision = engine.admit(
-                    link_id,
-                    models[label],
-                    connection_id,
-                    now=now if overload_active else None,
-                )
-                if decision.reason == REASON_SHED:
-                    shed += 1
-                elif decision.admitted:
-                    admitted += 1
-                    if decision.occupancy > peak_occupancy:
-                        peak_occupancy = decision.occupancy
-                    heappush(heap, (departs_at, connection_id))
-                else:
-                    blocked += 1
-                if decision.fallback:
-                    fallbacks += 1
-                if (
-                    count_policy
-                    and decision.reason != REASON_SHED
-                    and not decision.fallback
-                    and decision.admitted
-                    != (occupancy_before < decision.admissible)
-                ):
-                    boundary_violations += 1
-        for engine in engines:
-            engine.flush_telemetry()
+                steps[link_index](now, departs_at, models[label], f"c{j}")
+        for loop in loops:
+            loop.engine.flush_telemetry()
     elapsed = time.perf_counter() - started
 
+    totals = pool_totals(loops)
     if _spans._ENABLED:
         _metrics.add("service.frontend.requests", n_requests)
         _metrics.add(
-            "service.boundary_violations", boundary_violations
+            "service.boundary_violations", totals["boundary_violations"]
         )
 
     return ShardDriveStats(
         shard_index=shard_index,
-        n_links=n_links,
+        n_links=len(loops),
         n_requests=n_requests,
-        admitted=admitted,
-        blocked=blocked,
-        shed=shed,
-        fallbacks=fallbacks,
-        boundary_violations=boundary_violations,
-        peak_occupancy=peak_occupancy,
+        peak_occupancy=max(loop.peak_occupancy for loop in loops),
         elapsed_seconds=elapsed,
-    )
-
-
-def _empty_shard_stats(shard_index: int) -> ShardDriveStats:
-    """Stats for a shard the ring left without links (no work ran)."""
-    return ShardDriveStats(
-        shard_index=shard_index,
-        n_links=0,
-        n_requests=0,
-        admitted=0,
-        blocked=0,
-        shed=0,
-        fallbacks=0,
-        boundary_violations=0,
-        peak_occupancy=0,
-        elapsed_seconds=0.0,
+        **totals,
     )
 
 
@@ -658,7 +532,6 @@ def drive(
                             health_check=True,
                         )
                     )
-                results: List = [None] * n_shards
                 wall_started = time.perf_counter()
                 with span(
                     "service.frontend.drive",
@@ -668,33 +541,14 @@ def drive(
                     requests=requests_per_link * n_links,
                     jobs=effective_jobs,
                 ):
-                    if exec_backend is None:
-                        for payload in payloads:
-                            result = execute_payload(payload)
-                            if result.failed:
-                                raise result.error
-                            results[result.index] = result
-                    else:
-                        with exec_backend.session() as session:
-                            for payload in payloads:
-                                session.submit(payload)
-                            while session.pending:
-                                result = session.next_completed()
-                                if result.failed:
-                                    raise result.error
-                                results[result.index] = result
-                        # Merge in shard-index order, not completion
-                        # order — sketch state must not depend on which
-                        # worker finished first.
-                        for result in results:
-                            if result is not None:
-                                merge_result_telemetry(result)
+                    results = run_payloads(exec_backend, payloads, n_shards)
                 wall_seconds = time.perf_counter() - wall_started
 
+                # A shard the ring left without links ran no work.
                 shards = tuple(
                     ShardDriveStats.from_array(i, results[i].lost)
                     if results[i] is not None
-                    else _empty_shard_stats(i)
+                    else ShardDriveStats.zeros(i)
                     for i in range(n_shards)
                 )
                 snapshot = {
@@ -709,13 +563,7 @@ def drive(
                         offered_erlangs=rho * admissible,
                         arrival_rate=arrival_rate,
                         n_requests=n_requests,
-                        admitted=sum(s.admitted for s in shards),
-                        blocked=sum(s.blocked for s in shards),
-                        shed=sum(s.shed for s in shards),
-                        fallbacks=sum(s.fallbacks for s in shards),
-                        boundary_violations=sum(
-                            s.boundary_violations for s in shards
-                        ),
+                        **pool_totals(shards),
                         peak_occupancy=max(
                             (s.peak_occupancy for s in shards), default=0
                         ),
@@ -729,6 +577,14 @@ def drive(
                             snapshot.get("service.admit_latency_ns")
                         ),
                         shards=shards,
+                        link_admit_latency_ns={
+                            link_id: _sketch_quantiles(
+                                snapshot.get(
+                                    f"service.admit_latency_ns.{link_id}"
+                                )
+                            )
+                            for link_id in link_ids
+                        },
                     )
                 )
     finally:

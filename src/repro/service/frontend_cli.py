@@ -34,14 +34,19 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.atm.qos import QoSRequirement
 from repro.exceptions import ReproError
-from repro.service.cli import CLASS_PRESETS, build_class
+from repro.service.cli import (
+    HOLDING_FLAGS,
+    LINK_FLAGS,
+    OVERLOAD_FLAGS,
+    RUN_FLAGS,
+    add_service_args,
+    build_class,
+    link_contract,
+    overload_from_args,
+)
 from repro.service.drive import DriveReport, drive
 from repro.service.frontend import AdmissionFrontend, FrontendServer
-from repro.service.overload import OverloadPolicy
-from repro.service.tables import SERVICE_METHODS
-from repro.utils.units import mbps_to_cells_per_frame
 
 __all__ = ["build_parser", "format_drive_report", "main"]
 
@@ -50,13 +55,8 @@ DEFAULT_RHO_GRID = (0.6, 0.8, 0.9, 0.95, 0.99)
 
 def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags both verbs share, matching the ``workload`` conventions."""
-    parser.add_argument(
-        "--links",
-        type=int,
-        default=4,
-        metavar="L",
-        help="independent links the frontend serves (default 4)",
-    )
+    add_service_args(parser, LINK_FLAGS)
+    parser.set_defaults(links=4)
     parser.add_argument(
         "--shards",
         type=int,
@@ -66,74 +66,13 @@ def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
         "default --jobs)",
     )
     parser.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        type=build_class,
-        metavar="NAME[:WEIGHT]",
-        help="offered class (repeatable); presets: "
-        + ", ".join(f"{k} = {v}" for k, v in sorted(CLASS_PRESETS.items()))
-        + " (default: video)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--capacity-mbps",
-        type=float,
-        default=155.52,
-        metavar="MBPS",
-        help="link rate in Mbit/s (default 155.52, OC-3)",
-    )
-    parser.add_argument(
-        "--delay-ms",
-        type=float,
-        default=20.0,
-        metavar="MS",
-        help="per-node QoS delay budget (default 20 msec)",
-    )
-    parser.add_argument(
-        "--clr",
-        type=float,
-        default=1e-6,
-        metavar="P",
-        help="QoS cell loss rate target (default 1e-6)",
-    )
-    parser.add_argument(
         "--table-cache",
         metavar="FILE",
         default=None,
         help="persist decision tables as JSONL at FILE (warmed before "
         "the snapshot is published)",
     )
-    overload = parser.add_argument_group("overload policy")
-    overload.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="bound each link's admission queue at DEPTH outstanding "
-        "decisions; arrivals past the bound are shed deterministically",
-    )
-    overload.add_argument(
-        "--decision-rate",
-        type=float,
-        default=None,
-        metavar="PER_SEC",
-        help="modelled decision service rate (decisions/second on the "
-        "workload clock); required for --max-queue to ever shed",
-    )
-    overload.add_argument(
-        "--breaker-cooldown",
-        type=int,
-        default=64,
-        metavar="N",
-        help="requests the circuit breaker stays open before probing "
-        "the primary policy again (default 64)",
-    )
+    add_service_args(parser, OVERLOAD_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,56 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         + " ".join(str(r) for r in DEFAULT_RHO_GRID)
         + ")",
     )
-    drive_parser.add_argument(
-        "--requests",
-        type=int,
-        default=10_000,
-        metavar="N",
-        help="connection requests per link per rho point (default 10000)",
-    )
-    drive_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run shards across N worker processes; per-link counters "
-        "are byte-identical to --jobs 1 (default 1)",
-    )
-    drive_parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
-        "persistent workers) or 'spawn' (fresh processes per sweep)",
-    )
-    drive_parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
-    )
-    drive_parser.add_argument(
-        "--holding-mean",
-        type=float,
-        default=90.0,
-        metavar="SECONDS",
-        help="mean connection holding time (default 90 s)",
-    )
-    drive_parser.add_argument(
-        "--heavy-tailed",
-        action="store_true",
-        help="draw holding times from the heavy-tailed "
-        "(exponential-body/Pareto-tail) session law instead of "
-        "exponential",
-    )
-    drive_parser.add_argument(
-        "--tail-gamma",
-        type=float,
-        default=1.5,
-        metavar="G",
-        help="tail exponent for --heavy-tailed, in (1, 2) (default 1.5)",
-    )
+    add_service_args(drive_parser, RUN_FLAGS + HOLDING_FLAGS)
     drive_parser.add_argument(
         "--regime-plan",
         metavar="PLAN",
@@ -255,22 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the report as JSON instead of the table",
     )
     return parser
-
-
-def _overload_from_args(args, parser) -> Optional[OverloadPolicy]:
-    if args.max_queue is None:
-        return None
-    if args.decision_rate is not None and args.decision_rate <= 0:
-        parser.error("--decision-rate must be > 0")
-    return OverloadPolicy(
-        max_queue_depth=args.max_queue,
-        decision_seconds=(
-            1.0 / args.decision_rate
-            if args.decision_rate is not None
-            else 0.0
-        ),
-        breaker_cooldown=args.breaker_cooldown,
-    )
 
 
 def _fmt_ns(value: Optional[float]) -> str:
@@ -356,11 +230,8 @@ async def _serve(frontend: AdmissionFrontend, host: str, port: int) -> None:
 
 def _cmd_serve(args, parser) -> int:
     classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-    overload = _overload_from_args(args, parser)
+    capacity, qos = link_contract(args)
+    overload = overload_from_args(args, parser)
     link_ids = [f"link-{i}" for i in range(args.links)]
     try:
         with AdmissionFrontend(
@@ -383,11 +254,8 @@ def _cmd_serve(args, parser) -> int:
 
 def _cmd_drive(args, parser) -> int:
     classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-    overload = _overload_from_args(args, parser)
+    capacity, qos = link_contract(args)
+    overload = overload_from_args(args, parser)
     rho_grid = tuple(args.rho) if args.rho else DEFAULT_RHO_GRID
     regime_plan = None
     regime_classes = None
@@ -446,16 +314,10 @@ def _cmd_drive(args, parser) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
     if args.shards is not None and args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
     if args.command == "serve":
         return _cmd_serve(args, parser)
-    if getattr(args, "requests", 1) < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     return _cmd_drive(args, parser)
 
 

@@ -47,15 +47,12 @@ decided against the overload policy, not the primary boundary).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import JournalError, ParameterError
@@ -66,13 +63,10 @@ from repro.parallel.backends import (
     Backend,
     ProcessPoolBackend,
     resolve_backend,
+    run_payloads,
 )
 from repro.parallel.shm import attach_blob, publish_blob
-from repro.parallel.worker import (
-    WorkerPayload,
-    execute_payload,
-    merge_result_telemetry,
-)
+from repro.parallel.worker import WorkerPayload, merge_result_telemetry
 from repro.resilience.faults import (
     NO_CUES,
     FaultyDecisionTables,
@@ -85,13 +79,16 @@ from repro.service.journal import (
     find_recovery,
     journal_path,
 )
+from repro.service.kernel import (
+    COUNTS,
+    FlatRecord,
+    LinkLoop,
+    LinkTask,
+    pool_totals,
+)
 from repro.service.overload import OverloadPolicy
 from repro.service.supervision import ShardSupervisor, SupervisionPolicy
-from repro.service.tables import (
-    EFFECTIVE_BANDWIDTH_METHOD,
-    DecisionTableCache,
-    model_fingerprint,
-)
+from repro.service.tables import DecisionTableCache, model_fingerprint
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -110,7 +107,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LinkStats:
+class LinkStats(FlatRecord):
     """Measured outcome of one link's replay."""
 
     link_index: int
@@ -145,54 +142,6 @@ class LinkStats:
         """Time-averaged carried load as a fraction of ``capacity``."""
         denominator = capacity * self.elapsed_seconds
         return self.carried_load_seconds / denominator if denominator else 0.0
-
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_requests",
-        "admitted",
-        "blocked",
-        "shed",
-        "fallbacks",
-        "peak_occupancy",
-        "admissible",
-        "boundary_violations",
-        "carried_load_seconds",
-        "elapsed_seconds",
-        "cache_hits",
-        "cache_misses",
-    )
-
-    def as_array(self) -> np.ndarray:
-        """Encode as the float vector a worker ships back."""
-        return np.asarray(
-            [float(getattr(self, name)) for name in self._FIELDS]
-        )
-
-    @classmethod
-    def from_array(cls, link_index: int, values: np.ndarray) -> "LinkStats":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(cls._FIELDS),):
-            raise ParameterError(
-                f"link-stats vector must have shape ({len(cls._FIELDS)},), "
-                f"got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        return cls(
-            link_index=link_index,
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            shed=int(data["shed"]),
-            fallbacks=int(data["fallbacks"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            admissible=int(data["admissible"]),
-            boundary_violations=int(data["boundary_violations"]),
-            carried_load_seconds=float(data["carried_load_seconds"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -261,74 +210,6 @@ def _journal_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-class _LinkReplay:
-    """One link's mutable replay state, shared by live and re-applied
-    event processing so both run byte-identical code."""
-
-    def __init__(self):
-        self.departures: List[Tuple[float, str]] = []
-        self.admitted = 0
-        self.blocked = 0
-        self.shed = 0
-        self.fallbacks = 0
-        self.peak_occupancy = 0
-        self.boundary_violations = 0
-        self.carried_load_seconds = 0.0
-        self.last_event_time = 0.0
-
-    def capture(self, seq: int, engine, link_id: str, tables) -> dict:
-        """The full shard state after event ``seq``, exactly.
-
-        Floats as hex round-trips; the departure list in its live heap
-        order (heap order is deterministic, so restoring the raw list
-        reproduces identical pop sequences); accumulators as stored —
-        a recovered attempt must never re-sum them.
-        """
-        return {
-            "seq": int(seq),
-            "admitted": self.admitted,
-            "blocked": self.blocked,
-            "shed": self.shed,
-            "fallbacks": self.fallbacks,
-            "peak_occupancy": self.peak_occupancy,
-            "boundary_violations": self.boundary_violations,
-            "carried_load_seconds": self.carried_load_seconds.hex(),
-            "last_event_time": self.last_event_time.hex(),
-            "departures": [
-                [t.hex(), connection_id]
-                for t, connection_id in self.departures
-            ],
-            "link": engine.export_link_state(link_id),
-            "tables": tables.snapshot_state(),
-            "overload": (
-                engine.overload.state_dict()
-                if engine.overload is not None
-                else None
-            ),
-        }
-
-    def restore(self, state: dict, engine, link_id: str, tables) -> None:
-        """Restore :meth:`capture` output exactly."""
-        self.admitted = int(state["admitted"])
-        self.blocked = int(state["blocked"])
-        self.shed = int(state["shed"])
-        self.fallbacks = int(state["fallbacks"])
-        self.peak_occupancy = int(state["peak_occupancy"])
-        self.boundary_violations = int(state["boundary_violations"])
-        self.carried_load_seconds = float.fromhex(
-            state["carried_load_seconds"]
-        )
-        self.last_event_time = float.fromhex(state["last_event_time"])
-        self.departures = [
-            (float.fromhex(t), connection_id)
-            for t, connection_id in state["departures"]
-        ]
-        engine.restore_link_state(link_id, state["link"])
-        tables.restore_state(state["tables"])
-        if state.get("overload") is not None and engine.overload is not None:
-            engine.overload.restore_state(state["overload"])
-
-
 def replay_link(
     spec: WorkloadSpec,
     classes: Sequence[ConnectionClass],
@@ -390,7 +271,7 @@ def replay_link(
         tables = faulty_tables
     engine = AdmissionEngine(policy=policy, tables=tables, overload=overload)
     link_id = f"link-{link_index}"
-    link = engine.add_link(link_id, capacity, qos)
+    engine.add_link(link_id, capacity, qos)
     workload = generate_workload(spec, classes, rng)
 
     recovery = None
@@ -406,10 +287,10 @@ def replay_link(
         )
         recovery = find_recovery(journal_prefix, attempt, fingerprint)
 
-    replay = _LinkReplay()
+    loop = LinkLoop(engine, link_id)
     boundary = None
     if recovery is not None and recovery.snapshot_state is not None:
-        replay.restore(recovery.snapshot_state, engine, link_id, tables)
+        loop.restore(recovery.snapshot_state, tables)
         # The restored table counters already include the boundary
         # lookup the dead attempt performed; peek instead of lookup so
         # hit/miss totals stay byte-identical to a fault-free run.
@@ -418,13 +299,11 @@ def replay_link(
         # The boundary the replay is checked against: admissible N of
         # the first class (deterministically the first table miss).
         boundary = tables.lookup(classes[0].model, capacity, qos, policy)
-    count_policy = policy != EFFECTIVE_BANDWIDTH_METHOD
 
     arrivals = workload.arrival_times
     holdings = workload.holding_times
     labels = workload.class_indices
     models = [c.model for c in classes]
-    overload_active = overload is not None
 
     journal = None
     if journal_prefix is not None:
@@ -438,36 +317,16 @@ def replay_link(
             # a *second* crash recovers from this file alone.
             journal.snapshot(recovery.snapshot_seq, recovery.snapshot_state)
 
-    admit = engine.admit
-    release = engine.release
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    departures = replay.departures
-
     def step(i: int, forced) -> None:
         """Process request ``i`` — live, or re-applied from a journal."""
-        now = float(arrivals[i])
-        while departures and departures[0][0] <= now:
-            departed_at, connection_id = heappop(departures)
-            replay.carried_load_seconds += link.admitted_mean_load * (
-                departed_at - replay.last_event_time
-            )
-            replay.last_event_time = departed_at
-            release(link_id, connection_id)
-        replay.carried_load_seconds += link.admitted_mean_load * (
-            now - replay.last_event_time
-        )
-        replay.last_event_time = now
-
         if faulty_tables is not None:
             faulty_tables.current_request = i
-        occupancy_before = link.occupancy
-        connection_id = f"c{i}"
-        decision = admit(
-            link_id,
+        now = float(arrivals[i])
+        decision = loop.step(
+            now,
+            now + float(holdings[i]),
             models[labels[i]],
-            connection_id,
-            now=now if overload_active else None,
+            f"c{i}",
             force_fallback=forced.fallback if forced is not None else False,
         )
         if decision.reason == REASON_SHED:
@@ -482,24 +341,6 @@ def replay_link(
                 f"event {i} disagrees with journaled {forced.kind!r}; "
                 "the journal does not describe this workload"
             )
-        if kind == "s":
-            replay.shed += 1
-        elif kind == "a":
-            replay.admitted += 1
-            if decision.occupancy > replay.peak_occupancy:
-                replay.peak_occupancy = decision.occupancy
-            heappush(departures, (now + float(holdings[i]), connection_id))
-        else:
-            replay.blocked += 1
-        if decision.fallback:
-            replay.fallbacks += 1
-        if (
-            count_policy
-            and kind != "s"
-            and not decision.fallback
-            and decision.admitted != (occupancy_before < decision.admissible)
-        ):
-            replay.boundary_violations += 1
         if journal is not None:
             if cues.torn_event == i:
                 journal.torn_event(i, kind, fallback=decision.fallback)
@@ -509,9 +350,7 @@ def replay_link(
                 )
             journal.event(i, kind, fallback=decision.fallback)
             if (i + 1) % snapshot_every == 0:
-                journal.snapshot(
-                    i, replay.capture(i, engine, link_id, tables)
-                )
+                journal.snapshot(i, loop.capture(i, tables))
 
     start = 0
     try:
@@ -554,63 +393,35 @@ def replay_link(
         _metrics.add("service.requests_replayed", workload.n_requests)
         # add(0) still registers the instrument, so serial and
         # parallel snapshots list the same counters.
-        _metrics.add("service.boundary_violations", replay.boundary_violations)
+        _metrics.add("service.boundary_violations", loop.boundary_violations)
 
     return LinkStats(
         link_index=link_index,
         n_requests=workload.n_requests,
-        admitted=replay.admitted,
-        blocked=replay.blocked,
-        shed=replay.shed,
-        fallbacks=replay.fallbacks,
-        peak_occupancy=replay.peak_occupancy,
+        admitted=loop.admitted,
+        blocked=loop.blocked,
+        shed=loop.shed,
+        fallbacks=loop.fallbacks,
+        peak_occupancy=loop.peak_occupancy,
         admissible=boundary.admissible,
-        boundary_violations=replay.boundary_violations,
-        carried_load_seconds=replay.carried_load_seconds,
+        boundary_violations=loop.boundary_violations,
+        carried_load_seconds=loop.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,
         cache_misses=tables.misses,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _LinkReplayTask:
-    """Picklable body of one link's replay, for any backend."""
-
-    spec: WorkloadSpec
-    classes: Tuple[ConnectionClass, ...]
-    capacity: float
-    qos: QoSRequirement
-    policy: str
-    table_path: Optional[str] = None
-    table_image: Optional[dict] = None
-    journal_dir: Optional[str] = None
-    snapshot_every: int = 2000
-    overload: Optional[OverloadPolicy] = None
-    faults: Optional[ServiceFaultPlan] = None
-
-    def __call__(self, index: int, generator: np.random.Generator):
-        journal_prefix = (
-            None
-            if self.journal_dir is None
-            else str(Path(self.journal_dir) / f"link-{index}")
-        )
-        stats = replay_link(
-            self.spec,
-            self.classes,
-            capacity=self.capacity,
-            qos=self.qos,
-            policy=self.policy,
-            rng=generator,
-            link_index=index,
-            table_path=self.table_path,
-            table_image=self.table_image,
-            journal_prefix=journal_prefix,
-            snapshot_every=self.snapshot_every,
-            overload=self.overload,
-            faults=self.faults,
-        )
-        return stats.as_array(), float(stats.n_requests)
+def _replay_journaled_link(*, journal_dir=None, link_index: int, **kwargs):
+    """:func:`replay_link` journaling under ``journal_dir/link-<i>``."""
+    journal_prefix = (
+        None
+        if journal_dir is None
+        else str(Path(journal_dir) / f"link-{link_index}")
+    )
+    return replay_link(
+        link_index=link_index, journal_prefix=journal_prefix, **kwargs
+    )
 
 
 def _pool_links(
@@ -620,11 +431,9 @@ def _pool_links(
     links: Sequence[LinkStats],
 ) -> ReplaySummary:
     """Aggregate per-link stats in index order (float order fixed)."""
-    n_requests = sum(s.n_requests for s in links)
-    admitted = sum(s.admitted for s in links)
-    blocked = sum(s.blocked for s in links)
-    shed = sum(s.shed for s in links)
-    fallbacks = sum(s.fallbacks for s in links)
+    totals = pool_totals(
+        links, ("n_requests",) + COUNTS + ("cache_hits", "cache_misses")
+    )
     # Guarded like the per-link ratios: a zero-length sweep point
     # (no links, or links that served nothing) reports 0.0 by
     # contract, never a ZeroDivisionError.
@@ -632,26 +441,22 @@ def _pool_links(
     for stats in links:
         utilization += stats.utilization(capacity)
     utilization = utilization / len(links) if links else 0.0
-    cache_hits = sum(s.cache_hits for s in links)
-    cache_misses = sum(s.cache_misses for s in links)
-    cache_total = cache_hits + cache_misses
+    n_requests = totals["n_requests"]
+    cache_total = totals["cache_hits"] + totals["cache_misses"]
     return ReplaySummary(
         policy=policy,
         capacity=float(capacity),
         n_links=len(links),
-        n_requests=n_requests,
-        admitted=admitted,
-        blocked=blocked,
-        shed=shed,
-        fallbacks=fallbacks,
-        blocking_probability=blocked / n_requests if n_requests else 0.0,
+        blocking_probability=(
+            totals["blocked"] / n_requests if n_requests else 0.0
+        ),
         utilization=utilization,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        cache_hit_rate=cache_hits / cache_total if cache_total else 0.0,
-        boundary_violations=sum(s.boundary_violations for s in links),
+        cache_hit_rate=(
+            totals["cache_hits"] / cache_total if cache_total else 0.0
+        ),
         offered_erlangs=spec.offered_erlangs,
         links=tuple(links),
+        **totals,
     )
 
 
@@ -716,22 +521,24 @@ def replay_workload(
         if table_file.exists():
             table_handle = publish_blob(table_file.read_bytes())
             table_image = table_handle.descriptor
-    task = _LinkReplayTask(
-        spec=spec,
-        classes=tuple(classes),
-        capacity=float(capacity),
-        qos=qos,
-        policy=policy,
-        table_path=None if table_path is None else str(table_path),
-        table_image=table_image,
-        journal_dir=None if journal_dir is None else str(journal_dir),
-        snapshot_every=snapshot_every,
-        overload=overload,
-        faults=faults,
+    task = LinkTask(
+        _replay_journaled_link,
+        dict(
+            spec=spec,
+            classes=tuple(classes),
+            capacity=float(capacity),
+            qos=qos,
+            policy=policy,
+            table_path=None if table_path is None else str(table_path),
+            table_image=table_image,
+            journal_dir=None if journal_dir is None else str(journal_dir),
+            snapshot_every=snapshot_every,
+            overload=overload,
+            faults=faults,
+        ),
     )
     telemetry = _spans.is_enabled()
     generators = spawn_generators(rng, n_links)
-    results: List = [None] * n_links
     try:
         with span(
             "service.replay",
@@ -740,7 +547,23 @@ def replay_workload(
             policy=policy,
             jobs=1 if exec_backend is None else exec_backend.jobs,
         ):
-            if supervision is not None:
+            if supervision is None:
+                results = run_payloads(
+                    exec_backend,
+                    [
+                        WorkerPayload(
+                            index=i,
+                            attempt=0,
+                            task=task,
+                            generator=generators[i],
+                            label=f"workload-link-{i}",
+                            telemetry=telemetry,
+                            health_check=True,
+                        )
+                        for i in range(n_links)
+                    ],
+                )
+            else:
 
                 def payload_factory(
                     index: int, attempt: int
@@ -774,50 +597,6 @@ def replay_workload(
                     # completion order (canonical-JSON bit-identity).
                     for result in results:
                         merge_result_telemetry(result)
-            elif exec_backend is None:
-                payloads = [
-                    WorkerPayload(
-                        index=i,
-                        attempt=0,
-                        task=task,
-                        generator=generators[i],
-                        label=f"workload-link-{i}",
-                        telemetry=telemetry,
-                        health_check=True,
-                    )
-                    for i in range(n_links)
-                ]
-                for payload in payloads:
-                    result = execute_payload(payload)
-                    if result.failed:
-                        raise result.error
-                    results[result.index] = result
-            else:
-                payloads = [
-                    WorkerPayload(
-                        index=i,
-                        attempt=0,
-                        task=task,
-                        generator=generators[i],
-                        label=f"workload-link-{i}",
-                        telemetry=telemetry,
-                        health_check=True,
-                    )
-                    for i in range(n_links)
-                ]
-                with exec_backend.session() as session:
-                    for payload in payloads:
-                        session.submit(payload)
-                    while session.pending:
-                        result = session.next_completed()
-                        if result.failed:
-                            raise result.error
-                        results[result.index] = result
-                # Telemetry merges in link-index order, not completion
-                # order: sketch/counter snapshots (and their canonical
-                # JSON) must not depend on which worker finished first.
-                for result in results:
-                    merge_result_telemetry(result)
     finally:
         if table_handle is not None:
             table_handle.unlink()

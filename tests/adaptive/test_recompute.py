@@ -242,3 +242,35 @@ class TestSingleLinkReplay:
         assert stats.generation == 0
         assert stats.drift_detections == 0
         assert stats.pre_switch_clr == stats.post_switch_clr
+
+    def test_skipped_request_counts_as_dropped(self, monkeypatch):
+        # ``dropped`` is derived from the kernel counters, so a request
+        # that never reaches a decision shows up there.
+        from repro.service.kernel import LinkLoop
+
+        spec = WorkloadSpec(
+            n_requests=300, arrival_rate=1.0, mean_holding_time=30.0
+        )
+        step = LinkLoop.step
+        calls = []
+
+        def skipping(self, *args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 100:
+                return None
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinkLoop, "step", skipping)
+        stats = adaptive_replay_link(
+            spec,
+            (CONFERENCE,),
+            parse_regime_plan("conference@0"),
+            (CONFERENCE, VIDEO),
+            capacity=CAPACITY,
+            qos=QOS,
+            policy="bahadur-rao",
+            rng=np.random.default_rng(4),
+        )
+        assert len(calls) == 300
+        assert stats.admitted + stats.blocked == 299
+        assert stats.dropped == 1

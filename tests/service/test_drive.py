@@ -289,3 +289,48 @@ class TestDriveRegimePlan:
         assert _point_counters(runs[0].points[0]) == _point_counters(
             runs[1].points[0]
         )
+
+    def test_matches_static_adaptive_replay_per_link(self):
+        # Two drivers over the one admission step: a regime-planned
+        # drive and a non-adapting adaptive replay of the same seed
+        # must make the same per-link decisions.
+        from repro.adaptive.nonstationary import parse_regime_plan
+        from repro.adaptive.recompute import adaptive_replay
+        from repro.service.cli import build_class
+        from repro.service.frontend import ConsistentHashRing
+        from repro.utils.units import mbps_to_cells_per_frame
+
+        capacity = mbps_to_cells_per_frame(155.52)
+        qos = QoSRequirement(max_delay_seconds=0.020, max_clr=1e-6)
+        conference = build_class("conference")
+        candidates = (conference, build_class("video"))
+        plan = parse_regime_plan("conference@0,video@3000")
+        # Four shards put link-0 and link-1 on shards of their own.
+        ring = ConsistentHashRing(4)
+        shard_of = [ring.shard_for(f"link-{i}") for i in range(2)]
+        assert len(set(shard_of)) == 2
+        report = drive(
+            (conference,), capacity=capacity, qos=qos, rho_grid=(0.9,),
+            n_links=2, requests_per_link=6000, seed=7, n_shards=4,
+            regime_plan=plan, regime_classes=candidates,
+        )
+        spec = WorkloadSpec(
+            n_requests=6000,
+            arrival_rate=derive_arrival_rate(0.9, report.admissible, 90.0),
+            mean_holding_time=90.0,
+        )
+        static = adaptive_replay(
+            spec, (conference,), plan, candidates, n_links=2,
+            capacity=capacity, qos=qos, rng=7, adapt=False,
+        )
+        for link in static.links:
+            shard = report.points[0].shards[shard_of[link.link_index]]
+            assert (
+                shard.n_requests, shard.admitted, shard.blocked,
+                shard.peak_occupancy, shard.boundary_violations,
+            ) == (
+                link.n_requests, link.admitted, link.blocked,
+                link.peak_occupancy, link.boundary_violations,
+            )
+        assert static.n_requests == 12000
+        assert static.boundary_violations == 0
